@@ -47,12 +47,10 @@ def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
 
 def _caps_from_args(args: argparse.Namespace) -> dict:
     caps = default_caps()
-    if getattr(args, "cap_gamma", None):
-        caps["gamma"] = args.cap_gamma
-    if getattr(args, "cap_closure", None):
-        caps["closure"] = args.cap_closure
-    if getattr(args, "cap_vars", None):
-        caps["polytope_variables"] = args.cap_vars
+    flags = {"cap_gamma": "gamma", "cap_closure": "closure", "cap_vars": "polytope_variables"}
+    for flag, name in flags.items():
+        if getattr(args, flag, None) is not None:
+            caps[name] = getattr(args, flag)
     for name, value in caps.items():
         if value <= 0:
             raise ScenarioError(f"cap {name} must be positive")
@@ -126,6 +124,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     caps = _caps_from_args(args)
+    if args.samples < 0:
+        raise ScenarioError("--samples must be zero or positive")
     spec = load_scenario(args.scenario)
     report = verify_scenario(spec, seed=args.seed, sample_count=args.samples, caps=caps)
     text = canonical_json(report)

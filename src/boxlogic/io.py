@@ -109,11 +109,16 @@ def pr_state_to_dict(pr: PRState) -> dict:
 
 
 def pr_state_from_dict(spec: BoxWorldSpec, data: dict) -> PRState:
+    if not isinstance(data, dict):
+        raise StateError("state file must hold a JSON object of blocks")
+
     def fn(a, b, alpha, beta):
         key = f"{a},{b}"
         if key not in data:
             raise StateError(f"missing block {key!r} in state file")
         block = data[key]
+        if not isinstance(block, list) or not all(isinstance(row, list) for row in block):
+            raise StateError(f"block {key!r} must be a list of lists")
         try:
             return parse_fraction(block[alpha][beta])
         except (IndexError, TypeError) as exc:

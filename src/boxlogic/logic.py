@@ -6,14 +6,22 @@ list used for decompositions.  The table order is canonical: the empty
 set first, the full set second, everything else sorted by (popcount,
 numeric value).  Absent meets and joins are values (``None``), not
 errors.
+
+Relations between elements come from one column layout, the vertical
+tid-list bitmaps of Zaki (IEEE TKDE 2000): for each sample point x the
+table keeps a Python int whose bit i is set when element i contains x.
+The elements containing a set are the AND of its points' columns, the
+elements disjoint from it are the complement of their OR, and the set
+bits of a mask are walked exactly with ``m & -m`` and ``bit_length``.
+Pair lists, Hasse covers and the closure all use these primitives; the
+closure keeps its own columns over insertion order while it grows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +45,30 @@ from .scenario import (
 
 DEFAULT_CLOSURE_CAP = 10**6
 
-_WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union_below(family: Iterable[int], s: int) -> int:
+    """Union of the members of ``family`` contained in ``s``."""
+    u = 0
+    for e in family:
+        if e & s == e:
+            u |= e
+    return u
+
+
+def _columns_union(cols: Sequence[int], bits: int) -> int:
+    """OR of the columns of the points of ``bits``."""
+    hit = 0
+    for x in _bit_indices(bits):
+        hit |= cols[x]
+    return hit
 
 
 class ConcreteLogic:
@@ -78,7 +108,7 @@ class ConcreteLogic:
             self.index[a] for a in self.atom_bits
         )
         self._decomp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._packed_cache: Optional[np.ndarray] = None
+        self._columns: Optional[list[int]] = None
         self._atomistic: Optional[bool] = None
         self._comparable_cache = None
         self._disjoint_cache = None
@@ -132,18 +162,7 @@ class ConcreteLogic:
     def atomistic(self) -> bool:
         """Every nonzero element is the union of the atoms below it."""
         if self._atomistic is None:
-            ok = True
-            for e in self.elements:
-                if e == 0:
-                    continue
-                cover = 0
-                for a in self.atom_bits:
-                    if a & e == a:
-                        cover |= a
-                if cover != e:
-                    ok = False
-                    break
-            self._atomistic = ok
+            self._atomistic = all(_union_below(self.atom_bits, e) == e for e in self.elements)
         return self._atomistic
 
     def all_decompositions(self, i: int) -> tuple[tuple[int, ...], ...]:
@@ -222,82 +241,77 @@ class ConcreteLogic:
         return self.index.get(meet_of_upper) if meet_of_upper & s == s else None
 
     def _downset_union(self, s: int) -> int:
-        if self.atomistic():
-            u = 0
-            for a in self.atom_bits:
-                if a & s == a:
-                    u |= a
-            return u
-        u = 0
-        for e in self.elements:
-            if e & s == e:
-                u |= e
-        return u
+        return _union_below(self.atom_bits if self.atomistic() else self.elements, s)
 
-    # -- packed representation and pair enumeration -----------------------
+    # -- column kernel and pair enumeration ---------------------------------
 
-    def _packed(self) -> np.ndarray:
-        if self._packed_cache is None:
-            words = max(1, (self.ground_size + _WORD - 1) // _WORD)
-            arr = np.zeros((len(self.elements), words), dtype=np.uint64)
+    def _column_masks(self) -> list[int]:
+        if self._columns is None:
+            cols = [0] * self.ground_size
             for i, e in enumerate(self.elements):
-                for w in range(words):
-                    arr[i, w] = (e >> (w * _WORD)) & _WORD_MASK
-            arr.setflags(write=False)
-            self._packed_cache = arr
-        return self._packed_cache
+                for x in _bit_indices(e):
+                    cols[x] |= 1 << i
+            self._columns = cols
+        return self._columns
+
+    def containing(self, bits: int) -> int:
+        """Mask of the element indices whose elements contain ``bits``."""
+        cols = self._column_masks()
+        mask = (1 << len(self.elements)) - 1
+        for x in _bit_indices(bits):
+            mask &= cols[x]
+        return mask
+
+    def disjoint_from(self, bits: int) -> int:
+        """Mask of the element indices whose elements miss ``bits``."""
+        hit = _columns_union(self._column_masks(), bits)
+        return ((1 << len(self.elements)) - 1) & ~hit
+
+    def _pair_arrays(self, partners) -> tuple[np.ndarray, np.ndarray]:
+        firsts: list[int] = []
+        seconds: list[int] = []
+        for i, e in enumerate(self.elements):
+            js = list(_bit_indices(partners(i, e)))
+            firsts.extend([i] * len(js))
+            seconds.extend(js)
+        return np.array(firsts, dtype=np.int64), np.array(seconds, dtype=np.int64)
 
     def comparable_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All ordered pairs (i, j) with element i a subset of element j."""
         if self._comparable_cache is None:
-            packed = self._packed()
-            lows, highs = [], []
-            for i in range(len(self.elements)):
-                row = packed[i]
-                mask = np.all((packed & row) == row, axis=1)
-                idx = np.nonzero(mask)[0]
-                lows.append(np.full(len(idx), i, dtype=np.int64))
-                highs.append(idx.astype(np.int64))
-            self._comparable_cache = (np.concatenate(lows), np.concatenate(highs))
+            self._comparable_cache = self._pair_arrays(lambda i, e: self.containing(e))
         return self._comparable_cache
 
     def disjoint_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All unordered pairs (i, j), i < j, of disjoint elements."""
         if self._disjoint_cache is None:
-            packed = self._packed()
-            zero = np.zeros(packed.shape[1], dtype=np.uint64)
-            lefts, rights = [], []
-            for i in range(len(self.elements)):
-                row = packed[i]
-                mask = np.all((packed & row) == zero, axis=1)
-                idx = np.nonzero(mask)[0]
-                idx = idx[idx > i]
-                lefts.append(np.full(len(idx), i, dtype=np.int64))
-                rights.append(idx.astype(np.int64))
-            self._disjoint_cache = (np.concatenate(lefts), np.concatenate(rights))
+            self._disjoint_cache = self._pair_arrays(
+                lambda i, e: self.disjoint_from(e) >> (i + 1) << (i + 1)
+            )
         return self._disjoint_cache
-
-    def supersets_of(self, i: int) -> np.ndarray:
-        self._check(i)
-        packed = self._packed()
-        row = packed[i]
-        mask = np.all((packed & row) == row, axis=1)
-        return np.nonzero(mask)[0]
 
     # -- exports -----------------------------------------------------------
 
     def covers(self) -> list[tuple[int, int]]:
-        """Edges (i, j) of the Hasse diagram: j covers i."""
+        """Edges (i, j) of the Hasse diagram: j covers i.
+
+        Apart from the full set, the table is sorted by popcount, so the
+        lowest-index strict superset left is minimal; taking it and
+        striking out everything above it yields the covers in turn.  The
+        full set covers exactly the elements with no other strict superset.
+        """
+        top = self.index.get(self.full_mask)
+        top_bit = 0 if top is None else 1 << top
         edges: list[tuple[int, int]] = []
-        for i in range(len(self.elements)):
-            sups = [j for j in self.supersets_of(i).tolist() if j != i]
-            sups.sort(key=lambda j: (self.elements[j].bit_count(), self.elements[j]))
-            accepted: list[int] = []
-            for j in sups:
-                bj = self.elements[j]
-                if not any(self.elements[k] & bj == self.elements[k] for k in accepted):
-                    accepted.append(j)
-            edges.extend((i, j) for j in accepted)
+        for i, e in enumerate(self.elements):
+            rest = self.containing(e) & ~(1 << i)
+            if top_bit and rest == top_bit:
+                edges.append((i, top))
+            rest &= ~top_bit
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                edges.append((i, j))
+                rest &= ~self.containing(self.elements[j])
         edges.sort()
         return edges
 
@@ -337,29 +351,36 @@ def _close_family(ground_size: int, seeds: Iterable[int], *, cap: int) -> set[in
     under complement and under unions of disjoint members.
 
     Disjoint unions are produced pairwise; chaining pairwise unions
-    reaches every finite disjoint family.
+    reaches every finite disjoint family.  Columns over insertion order
+    give each new member its disjoint partners among those already known;
+    a partner added later finds the member the same way.  Raises
+    ClosureBudgetExceeded on the insertion that takes the family past ``cap``.
     """
     full = (1 << ground_size) - 1
-    known: set[int] = {0}
-    known.update(seeds)
-    todo: deque[int] = deque(sorted(known))
-    while todo:
-        e = todo.popleft()
-        c = e ^ full
-        if c not in known:
-            known.add(c)
-            todo.append(c)
-        snapshot = list(known)
-        for f in snapshot:
-            if e & f == 0:
-                u = e | f
-                if u not in known:
-                    known.add(u)
-                    todo.append(u)
-        if len(known) > cap:
+    members: list[int] = []
+    known: set[int] = set()
+    cols = [0] * ground_size
+
+    def add(e: int) -> None:
+        if e in known:
+            return
+        if len(members) >= cap:
             raise ClosureBudgetExceeded(
                 f"closure exceeded {cap} elements; raise the cap to continue"
             )
+        bit = 1 << len(members)
+        for x in _bit_indices(e):
+            cols[x] |= bit
+        members.append(e)
+        known.add(e)
+
+    for e in sorted({0, *seeds}):
+        add(e)
+    for e in members:  # the list grows while it is walked: a work queue
+        add(e ^ full)
+        hit = _columns_union(cols, e)
+        for j in _bit_indices(((1 << len(members)) - 1) & ~hit):
+            add(e | members[j])
     return known
 
 
@@ -604,7 +625,7 @@ def verify_order_classification(logic: Logic) -> tuple[CheckResult, dict[str, in
     counts = {kind.value: 0 for kind in OrderKind}
     checked = 0
     for atom_index in logic.atom_indices:
-        for j in logic.supersets_of(atom_index).tolist():
+        for j in _bit_indices(logic.containing(logic.elements[atom_index])):
             checked += 1
             try:
                 cls = classify_above_atom(logic, atom_index, j)

@@ -10,13 +10,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import StateError, TheoremViolation, WellDefinednessViolation
-from .logic import ConcreteLogic, Logic
+from .logic import ConcreteLogic, Logic, _bit_indices
 from .scenario import AtomId, BoxWorldSpec
 
 _INT64_SAFE = 2**62
@@ -486,91 +487,50 @@ def check_order_determining(
 ) -> OrderDeterminingReport:
     """For every pair p not below q, find a state with value(p) > value(q).
 
-    Pairs with p below q are skipped; on small tables every state is
-    scanned in order, on large ones the witness is located through the
-    two-valued states of sample points and then verified against the
-    stored values.
+    Pairs with p below q are skipped.  On tables up to ``scan_limit``
+    elements every other pair is scanned against all states.  Larger
+    tables first certify sample points: a point is certified when some
+    state equals that point's indicator exactly on every element (1 on
+    the elements containing it, 0 elsewhere).  That state witnesses every
+    pair whose difference p minus q holds the point, so only the pairs
+    whose difference lies inside the uncertified points go to the
+    all-states scan.  Both paths report the first ``failure_limit``
+    unwitnessed pairs in ascending (p, q) order.
     """
     n = len(logic.elements)
-    lows, highs = logic.comparable_pairs()
-    comparable = {(int(i), int(j)) for i, j in zip(lows, highs)}
-    failures: list[dict] = []
-    noncomparable = n * n - len(comparable)
-
+    comparable = len(logic.comparable_pairs()[0])
     if n <= scan_limit:
-        for p in range(n):
-            for q in range(n):
-                if (p, q) in comparable:
-                    continue
-                if not any(s.value(p) > s.value(q) for s in states):
-                    if len(failures) < failure_limit:
-                        failures.append({"p": p, "q": q})
-        return OrderDeterminingReport(
-            not failures, len(states), len(comparable), noncomparable, failures, "full scan"
-        )
+        certified, strategy = 0, "full scan"
+    else:
+        certified = _certified_points(logic, states)
+        strategy = "point-state witnesses, verified against stored values"
 
-    scaled = []
-    for s in states:
-        arr = s.scaled_int64()
-        if arr is None:
-            raise StateError("state values too large for the vectorized path")
-        scaled.append(arr)
-    values = np.vstack(scaled) if scaled else np.zeros((0, n), dtype=np.int64)
-    dens = np.array([s.denominator for s in states], dtype=np.int64)
+    def unwitnessed():
+        for p, bits in enumerate(logic.elements):
+            # q containing every certified point of p: no certificate applies
+            open_qs = logic.containing(bits & certified) & ~logic.containing(bits)
+            for q in _bit_indices(open_qs):
+                if not any(s.numerators[p] > s.numerators[q] for s in states):
+                    yield {"p": p, "q": q}
 
-    point_row = np.full(logic.ground_size, -1, dtype=np.int64)
-    for row, s in enumerate(states):
-        if not s.is_two_valued():
-            continue
-        meet_bits = logic.full_mask
-        for idx in logic.atom_indices:
-            if s.numerators[idx] == s.denominator:
-                meet_bits &= logic.elements[idx]
-        if meet_bits.bit_count() == 1:
-            point_row[meet_bits.bit_length() - 1] = row
-
-    packed = logic._packed()
-    words = packed.shape[1]
-    checked = 0
-    for p in range(n):
-        row = packed[p]
-        sup_mask = np.all((packed & row) == row, axis=1)
-        sup_mask[p] = True
-        q_idx = np.nonzero(~sup_mask)[0]
-        if not q_idx.size:
-            continue
-        checked += q_idx.size
-        diff = row[None, :] & ~packed[q_idx]
-        nz = diff != 0
-        first_w = np.argmax(nz, axis=1)
-        dvals = diff[np.arange(len(q_idx)), first_w]
-        lowbit = dvals & (np.zeros(1, dtype=np.uint64) - dvals)
-        bit_in_word = np.log2(lowbit.astype(np.float64)).astype(np.int64)
-        point_idx = first_w.astype(np.int64) * 64 + bit_in_word
-        wrows = point_row[point_idx]
-        if np.any(wrows < 0):
-            for k in np.nonzero(wrows < 0)[0].tolist():
-                q = int(q_idx[k])
-                if not any(s.value(p) > s.value(q) for s in states):
-                    if len(failures) < failure_limit:
-                        failures.append({"p": p, "q": q})
-            keep = wrows >= 0
-            q_idx, wrows = q_idx[keep], wrows[keep]
-        ok = values[wrows, p] > values[wrows, q_idx]
-        for k in np.nonzero(~ok)[0].tolist():
-            q = int(q_idx[k])
-            if not any(s.value(p) > s.value(q) for s in states):
-                if len(failures) < failure_limit:
-                    failures.append({"p": p, "q": q})
-    del dens
+    failures = list(islice(unwitnessed(), failure_limit))
     return OrderDeterminingReport(
-        not failures,
-        len(states),
-        len(comparable),
-        noncomparable,
-        failures,
-        "point-state witnesses, verified against stored values",
+        not failures, len(states), comparable, n * n - comparable, failures, strategy
     )
+
+
+def _certified_points(logic: ConcreteLogic, states: Sequence[LogicState]) -> int:
+    """Mask of the sample points whose indicator is one of the states."""
+    points_by_column: dict[int, int] = {}
+    for x in range(logic.ground_size):
+        col = logic.containing(1 << x)
+        points_by_column[col] = points_by_column.get(col, 0) | 1 << x
+    certified = 0
+    for s in states:
+        if s.is_two_valued():
+            ones = "".join("1" if v else "0" for v in reversed(s.numerators))
+            certified |= points_by_column.get(int("0" + ones, 2), 0)
+    return certified
 
 
 def verify_state_monotonicity(

@@ -111,3 +111,56 @@ def deterministic_tables(spec) -> list:
         bl.PRState.deterministic(spec, xs, ys)
         for xs, ys in bl.deterministic_points(spec)
     ]
+
+
+# -- naive relation scans, checked against the column kernel -------------------
+# These take plain element lists and never call ConcreteLogic's relation
+# methods or the closure under test.
+
+
+def naive_closure(ground_size: int, seeds) -> set:
+    """Complement and disjoint-union closure by whole passes to a fixed point."""
+    full = (1 << ground_size) - 1
+    family = {0, *seeds}
+    while True:
+        grown = set(family)
+        for p in family:
+            grown.add(p ^ full)
+            for q in family:
+                if p & q == 0:
+                    grown.add(p | q)
+        if grown == family:
+            return family
+        family = grown
+
+
+def naive_comparable_pairs(elements) -> list:
+    return [
+        (i, j)
+        for i, p in enumerate(elements)
+        for j, q in enumerate(elements)
+        if p & q == p
+    ]
+
+
+def naive_disjoint_pairs(elements) -> list:
+    return [
+        (i, j)
+        for i, p in enumerate(elements)
+        for j, q in enumerate(elements)
+        if i < j and p & q == 0
+    ]
+
+
+def naive_covers(elements) -> list:
+    """Pairs p < q of the subset order with no element strictly between."""
+    above = [
+        {j for j, q in enumerate(elements) if p & q == p and p != q}
+        for p in elements
+    ]
+    return [
+        (i, j)
+        for i in range(len(elements))
+        for j in sorted(above[i])
+        if not any(j in above[k] for k in above[i])
+    ]

@@ -191,3 +191,32 @@ def test_module_entry_point(chsh_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["logic"]["element_count"] == 82
+
+
+@pytest.mark.parametrize("content", ["5", '{"0,0": {"a": 1}}'], ids=["not-an-object", "block-not-a-list"])
+def test_states_check_rejects_malformed_shapes(chsh_file, capsys, tmp_path, content):
+    state_path = tmp_path / "shape.json"
+    state_path.write_text(content)
+    code, _, err = run(capsys, ["states", "check", chsh_file, str(state_path)])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("flag", ["--cap-gamma", "--cap-closure", "--cap-vars"])
+def test_non_positive_caps_rejected(chsh_file, capsys, flag, value):
+    code, out, err = run(capsys, ["build", chsh_file, flag, value])
+    assert code == 2
+    assert out == ""
+    assert "must be positive" in err
+
+
+def test_verify_rejects_negative_samples(chsh_file, capsys):
+    code, out, err = run(capsys, ["verify", chsh_file, "--samples", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    code, out, _ = run(capsys, ["verify", chsh_file, "--samples", "0"])
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True

@@ -7,7 +7,7 @@ from boxlogic import AtomId, LocalizedSpec, OrderKind, Side
 from boxlogic.logic import _close_family
 
 import oracles
-from conftest import CHSH
+from conftest import CHSH, SINGLE_PAIR, THREE_INPUT
 
 
 def localized_index(logic, side, input_index, outcomes):
@@ -397,3 +397,39 @@ def test_dot_export_mentions_every_element(chsh_logic):
     dot = logic_to_dot(chsh_logic)
     assert dot.count("->") == len(chsh_logic.covers())
     assert f"n{len(chsh_logic.elements) - 1}" in dot
+
+
+# -- column kernel against naive scans ---------------------------------------------
+
+
+def test_closure_cap_boundary():
+    # the closure raises on the insertion that passes the cap, never later
+    for spec, size in ((CHSH, 82), (THREE_INPUT, 248)):
+        g = bl.build_gamma(spec)
+        atoms = [bl.make_atom(g, aid) for aid in bl.all_atom_ids(spec)]
+        with pytest.raises(bl.ClosureBudgetExceeded):
+            _close_family(g.gamma_size, atoms, cap=size - 1)
+        assert len(_close_family(g.gamma_size, atoms, cap=size)) == size
+
+
+def _kernel_case(name):
+    if name == "even_set_3":
+        pairs = [(1 << i) | (1 << j) for i in range(6) for j in range(i + 1, 6)]
+        return 6, pairs, bl.even_set_logic(3)
+    spec = {"single_pair": SINGLE_PAIR, "chsh": CHSH, "three_input": THREE_INPUT}[name]
+    g = bl.build_gamma(spec)
+    atoms = [bl.make_atom(g, aid) for aid in bl.all_atom_ids(spec)]
+    return g.gamma_size, atoms, bl.close_logic(spec)
+
+
+@pytest.mark.parametrize("name", ["single_pair", "chsh", "three_input", "even_set_3"])
+def test_kernel_matches_naive_scans(name):
+    ground, seeds, logic = _kernel_case(name)
+    elements = list(logic.elements)
+    closure = oracles.naive_closure(ground, seeds)
+    assert _close_family(ground, seeds, cap=10**6) == closure == set(elements)
+    lows, highs = logic.comparable_pairs()
+    assert list(zip(lows.tolist(), highs.tolist())) == oracles.naive_comparable_pairs(elements)
+    lefts, rights = logic.disjoint_pairs()
+    assert list(zip(lefts.tolist(), rights.tolist())) == oracles.naive_disjoint_pairs(elements)
+    assert logic.covers() == oracles.naive_covers(elements)

@@ -5,7 +5,7 @@ import pytest
 import boxlogic as bl
 from boxlogic import AtomId, LocalizedSpec, Side
 
-from conftest import CHSH
+from conftest import CHSH, THREE_INPUT
 
 
 def loc_index(logic, side, input_index, outcomes):
@@ -285,3 +285,49 @@ def test_vectorized_path_matches_scan(chsh_logic, chsh_vertex_states):
     fast = bl.check_order_determining(chsh_logic, states, scan_limit=10)
     assert scan.ok and fast.ok
     assert scan.noncomparable_pairs == fast.noncomparable_pairs
+
+
+@pytest.fixture(scope="module")
+def three_input_vertex_states(three_input_logic, three_input_polytope):
+    hrep, vertex_set = three_input_polytope
+    prs = bl.vertex_pr_states(hrep, vertex_set)
+    states = [bl.state_from_pr(three_input_logic, pr) for pr in prs]
+    return states, vertex_set.classes
+
+
+def _altered_deterministic(logic, states, classes):
+    # value 1 on the empty element: still two-valued, no longer any point's indicator
+    det = next(s for s, cls in zip(states, classes) if cls == "deterministic")
+    nums = list(det.numerators)
+    nums[logic.index_of(0)] = det.denominator
+    return bl.LogicState(logic, det.denominator, nums)
+
+
+@pytest.mark.parametrize(
+    "case", ["uniform", "nonlocal_vertices", "altered_deterministic", "half_deterministic"]
+)
+def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex_states, case):
+    logic = three_input_logic
+    states, classes = three_input_vertex_states
+    assert len(logic.elements) == 248  # above the default scan limit of 128
+    if case == "uniform":
+        chosen = [bl.state_from_pr(logic, bl.PRState.uniform(THREE_INPUT))]
+    elif case == "nonlocal_vertices":
+        chosen = [s for s, cls in zip(states, classes) if cls != "deterministic"]
+        assert len(chosen) == len(states) - 64
+    elif case == "altered_deterministic":
+        chosen = [_altered_deterministic(logic, states, classes)]
+    else:
+        # half of the points certified, the rest left to the scan
+        chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
+        chosen.append(_altered_deterministic(logic, states, classes))
+        assert bl.states._certified_points(logic, chosen).bit_count() == 32
+    fast = bl.check_order_determining(logic, chosen)
+    scan = bl.check_order_determining(logic, chosen, scan_limit=1000)
+    assert fast.strategy != scan.strategy
+    for report in (fast, scan):
+        assert report.failures == sorted(report.failures, key=lambda f: (f["p"], f["q"]))
+    fast_dict, scan_dict = fast.to_dict(), scan.to_dict()
+    del fast_dict["strategy"], scan_dict["strategy"]
+    assert fast_dict == scan_dict
+    assert fast.ok == (case == "nonlocal_vertices")
