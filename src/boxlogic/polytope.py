@@ -3,8 +3,12 @@
 The polytope lives in table space: one variable per elementary question,
 with normalization and marginal-consistency equalities plus sign
 constraints.  Vertices are enumerated with an incremental double
-description sweep over the homogenization cone, carried out entirely in
-integer arithmetic (rays are gcd-reduced integer vectors).
+description sweep over the homogenization cone (Fukuda & Prodon, "Double
+Description Method Revisited", 1996).  Exact rational algebra sets the
+sweep up: the affine hull and the first cone basis.  The sweep and the
+read-back of vertices then run entirely in integer arithmetic: rays are
+gcd-reduced integer vectors, and each vertex coordinate becomes one
+``Fraction`` only at the end.
 """
 
 from __future__ import annotations
@@ -147,6 +151,15 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
     set contains the common active set) or "algebraic" (the common active
     constraints have rank dim-2).  Both are exact for pointed cones; the
     combinatorial test is the fast default.
+
+    The combinatorial test reads a column bitmap built at each constraint
+    step: per constraint, one integer mask over the positions of the
+    current rays it is active on.  The AND of the columns of a pair's
+    common active set marks every ray whose active set contains it; the
+    pair is adjacent when only its own two bits remain.
+
+    Vertices are read back over one denominator: with x0 scaled to
+    integers over d0, ray (s, r) gives x = (s*x0 + d0*basis^T r) / (s*d0).
     """
     if adjacency not in ("combinatorial", "algebraic"):
         raise ValueError(f"unknown adjacency test {adjacency!r}")
@@ -185,7 +198,6 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
                 mask |= 1 << ci
         active[ray] = mask
 
-    processed = list(chosen)
     for ci in range(len(cons)):
         if ci in chosen:
             continue
@@ -197,6 +209,13 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
         for r in zero:
             active[r] |= 1 << ci
         if neg:
+            if adjacency == "combinatorial":
+                # column bitmap: for each constraint, the rays it is active on
+                columns = [0] * len(cons)
+                for k, r in enumerate(rays):
+                    for j in _mask_bits(active[r]):
+                        columns[j] |= 1 << k
+                ray_bit = {r: 1 << k for k, r in enumerate(rays)}
             fresh: list[tuple[int, ...]] = []
             for rp in pos:
                 for rn in neg:
@@ -204,13 +223,13 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
                     if common.bit_count() < cone_dim - 2:
                         continue
                     if adjacency == "combinatorial":
-                        dominated = any(
-                            r2 is not rp
-                            and r2 is not rn
-                            and active[r2] & common == common
-                            for r2 in rays
-                        )
-                        if dominated:
+                        pair = ray_bit[rp] | ray_bit[rn]
+                        holders = -1
+                        for j in _mask_bits(common):
+                            holders &= columns[j]
+                            if holders == pair:
+                                break
+                        if holders != pair:
                             continue
                     else:
                         rows = [cons[j] for j in _mask_bits(common)]
@@ -227,8 +246,9 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
             for r in neg:
                 del active[r]
             rays = pos + zero + fresh
-        processed.append(ci)
 
+    x0n, d0 = integerize(x0)
+    coord_rows = list(zip(*basis)) if dim else [()] * hrep.nvars
     verts: list[tuple[Fraction, ...]] = []
     for ray in rays:
         s = ray[0]
@@ -236,12 +256,14 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
             raise BoxLogicError("recession direction found; polytope is unbounded")
         if s < 0:
             raise BoxLogicError("ray with negative homogeneous coordinate")
-        t = [Fraction(v, s) for v in ray[1:]]
-        x = tuple(
-            x0[i] + sum(Fraction(basis[j][i]) * t[j] for j in range(dim))
-            for i in range(hrep.nvars)
+        r = ray[1:]
+        den = s * d0
+        verts.append(
+            tuple(
+                Fraction(s * x0n[i] + d0 * _dot(coord_rows[i], r), den)
+                for i in range(hrep.nvars)
+            )
         )
-        verts.append(x)
     ordered = sorted(set(verts))
     classes = tuple(classify_vertex(v) for v in ordered)
     return VertexSet(hrep, dim, tuple(ordered), classes)

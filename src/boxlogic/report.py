@@ -28,7 +28,6 @@ from .states import (
     pr_from_state,
     sample_pr_states,
     state_from_pr,
-    validate_pr_state,
     verify_state_monotonicity,
 )
 
@@ -139,9 +138,11 @@ def verify_scenario(
         round_trip_failures = 0
         logic_states = []
         for pr in vertex_states + mixtures:
+            # state_from_pr validates pr, raising StateError on a violation,
+            # so every table that gets this far is valid.  It is a function
+            # of the table, so a read-back equal to pr would give rho again.
             rho = state_from_pr(logic, pr)
-            back = pr_from_state(rho)
-            if back.table != pr.table or state_from_pr(logic, back) != rho:
+            if pr_from_state(rho).table != pr.table:
                 round_trip_failures += 1
             logic_states.append(rho)
         vertex_logic_states = logic_states[: len(vertex_states)]
@@ -159,9 +160,7 @@ def verify_scenario(
             {
                 "vertex_states": len(vertex_states),
                 "random_states": len(mixtures),
-                "all_tables_valid": all(
-                    not validate_pr_state(pr) for pr in vertex_states + mixtures
-                ),
+                "all_tables_valid": True,
                 "round_trip_failures": round_trip_failures,
                 "monotonicity": {"ok": monotone_ok, "checked": monotone_checked},
                 "order_determining": order.to_dict(),

@@ -66,10 +66,19 @@ class BoxWorldSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "BoxWorldSpec":
         try:
-            left = tuple(tuple(str(x) for x in inp) for inp in data["left"])
-            right = tuple(tuple(str(x) for x in inp) for inp in data["right"])
+            sides = (data["left"], data["right"])
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed scenario object: {exc}") from exc
+        for side_name, inputs in zip(("left", "right"), sides):
+            if not isinstance(inputs, list) or not all(
+                isinstance(inp, list) for inp in inputs
+            ):
+                raise ScenarioError(
+                    f"{side_name} box must be a list of outcome-label lists"
+                )
+        left, right = (
+            tuple(tuple(str(x) for x in inp) for inp in inputs) for inputs in sides
+        )
         return cls(left, right)
 
     def to_dict(self) -> dict:

@@ -4,6 +4,7 @@ Everything here recomputes results from first principles with naive
 algorithms, deliberately avoiding the code paths under test.
 """
 
+import itertools
 from fractions import Fraction
 
 import boxlogic as bl
@@ -110,6 +111,103 @@ def deterministic_tables(spec) -> list:
     return [
         bl.PRState.deterministic(spec, xs, ys)
         for xs, ys in bl.deterministic_points(spec)
+    ]
+
+
+# -- nonlocal vertices by construction ------------------------------------------
+# Barrett, Linden, Massar, Pironio, Popescu, Roberts, PRA 71, 022101 (2005)
+# classify the nonlocal vertices of the two-party non-signalling polytope for
+# two outcomes per input and for two inputs per side.  The tables below are
+# built from that classification alone, without the polytope code.
+
+
+def _subsets(n: int, min_size: int) -> list:
+    return [
+        combo
+        for size in range(min_size, n + 1)
+        for combo in itertools.combinations(range(n), size)
+    ]
+
+
+def _is_local_parity(parity: dict, lefts, rights) -> bool:
+    """Whether c(x, y) = u(x) xor v(y) for some bit labels u, v."""
+    v = {y: parity[lefts[0], y] for y in rights}
+    u = {x: parity[x, rights[0]] ^ v[rights[0]] for x in lefts}
+    return all(parity[x, y] == u[x] ^ v[y] for x in lefts for y in rights)
+
+
+def binary_nonlocal_tables(spec) -> list:
+    """Nonlocal vertices of a scenario with two outcomes on every input.
+
+    Every input's marginal is deterministic or uniform.  On the pairs of
+    uniform inputs the outcomes are perfectly correlated with parity
+    c(x, y); pairs with a deterministic input are products.  Such a table
+    is extreme exactly when c is not of the local form u(x) xor v(y), which
+    needs at least two uniform inputs on each side.  With three inputs per
+    side this gives the 1,344 nonlocal vertices that Barrett et al. count.
+    """
+    nl, nr = len(spec.left_sizes), len(spec.right_sizes)
+    if set(spec.left_sizes) | set(spec.right_sizes) != {2}:
+        raise ValueError("the construction covers two outcomes per input")
+    half = Fraction(1, 2)
+    out = []
+    for lefts in _subsets(nl, 2):
+        for rights in _subsets(nr, 2):
+            edges = [(x, y) for x in lefts for y in rights]
+            fixed_l = [a for a in range(nl) if a not in lefts]
+            fixed_r = [b for b in range(nr) if b not in rights]
+            for bits in itertools.product(range(2), repeat=len(edges)):
+                parity = dict(zip(edges, bits))
+                if _is_local_parity(parity, lefts, rights):
+                    continue
+                for det_l in itertools.product(range(2), repeat=len(fixed_l)):
+                    for det_r in itertools.product(range(2), repeat=len(fixed_r)):
+                        xs, ys = dict(zip(fixed_l, det_l)), dict(zip(fixed_r, det_r))
+
+                        def fn(a, b, alpha, beta, parity=parity, xs=xs, ys=ys):
+                            if a in xs and alpha != xs[a] or b in ys and beta != ys[b]:
+                                return Fraction(0)
+                            if a in xs and b in ys:
+                                return Fraction(1)
+                            if a in xs or b in ys:
+                                return half
+                            return half if alpha ^ beta == parity[a, b] else Fraction(0)
+
+                        out.append(bl.PRState.from_function(spec, fn))
+    return out
+
+
+def relabelled_pr_box_tables(spec) -> list:
+    """Nonlocal vertices of a scenario with two inputs per side.
+
+    Each is a k-outcome PR box, 2 <= k <= the fewest outcomes of any input,
+    under injective outcome relabellings f_a, g_b:
+    P(f_a(i), g_b(j) | a, b) = 1/k whenever j - i = a*b (mod k).
+    Relabellings that give the same table count once.
+    """
+    if len(spec.left_sizes) != 2 or len(spec.right_sizes) != 2:
+        raise ValueError("the construction covers two inputs per side")
+    sizes = (*spec.left_sizes, *spec.right_sizes)
+    boxes = set()
+    for k in range(2, min(sizes) + 1):
+        maps = [list(itertools.permutations(range(n), k)) for n in sizes]
+        for f0, f1, g0, g1 in itertools.product(*maps):
+            f, g = (f0, f1), (g0, g1)
+            cells = frozenset(
+                (a, b, f[a][i], g[b][(i + a * b) % k])
+                for a in range(2)
+                for b in range(2)
+                for i in range(k)
+            )
+            boxes.add((k, cells))
+    return [
+        bl.PRState.from_function(
+            spec,
+            lambda a, b, alpha, beta, k=k, cells=cells: Fraction(1, k)
+            if (a, b, alpha, beta) in cells
+            else Fraction(0),
+        )
+        for k, cells in boxes
     ]
 
 

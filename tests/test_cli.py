@@ -52,6 +52,20 @@ def test_build_invalid_scenario(tmp_path, capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize(
+    "right",
+    [{"a": ["0", "1"]}, [["0", "1"], "01"]],
+    ids=["side-is-an-object", "input-is-a-string"],
+)
+def test_build_rejects_side_that_is_not_a_list_of_lists(tmp_path, capsys, right):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"left": [["0", "1"]], "right": right}))
+    code, out, err = run(capsys, ["build", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: right box must be a list of outcome-label lists\n"
+
+
 def test_build_malformed_json(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,9 @@ def test_chsh_vertices_against_construction_oracle(chsh_polytope):
     boxes = {coords_of(hrep, pr) for pr in oracles.chsh_pr_box_tables(CHSH)}
     assert len(determined) == 16
     assert len(boxes) == 8
+    # both general constructions reduce to the eight PR boxes here
+    for construction in (oracles.binary_nonlocal_tables, oracles.relabelled_pr_box_tables):
+        assert {coords_of(hrep, pr) for pr in construction(CHSH)} == boxes
     for coords in determined | boxes:
         assert bl.satisfies_hrep(hrep, coords)
         assert bl.is_extreme_point(hrep, coords)
@@ -111,19 +115,44 @@ def test_vertices_canonically_sorted_and_reproducible(chsh_polytope):
     assert again.classes == vertex_set.classes
 
 
+def assert_vertices_match_oracles(
+    hrep, vertex_set, n_deterministic, nonlocal_tables, n_nonlocal
+):
+    determined = {coords_of(hrep, pr) for pr in oracles.deterministic_tables(hrep.spec)}
+    nonlocal_ = {coords_of(hrep, pr) for pr in nonlocal_tables}
+    assert len(determined) == n_deterministic
+    assert len(nonlocal_) == n_nonlocal
+    assert vertex_set.count("deterministic") == n_deterministic
+    assert set(vertex_set.vertices) == determined | nonlocal_
+    # the rank test on every vertex takes about a minute; a seeded sample suffices
+    for coords in random.Random(0).sample(sorted(determined | nonlocal_), 50):
+        assert bl.is_extreme_point(hrep, coords)
+
+
 def test_three_input_polytope_shape(three_input_polytope):
     hrep, vertex_set = three_input_polytope
     assert vertex_set.affine_dim == 15
-    # deterministic vertices are exactly the joint assignments: 8 * 8
-    assert vertex_set.count("deterministic") == 64
-    assert len(vertex_set) == 1408  # recorded from the enumeration run
+    # deterministic vertices are the joint assignments, 8 * 8; nonlocal ones
+    # are counted by Barrett et al. (2005), all with entries in {0, 1/2, 1}
+    nonlocal_tables = oracles.binary_nonlocal_tables(hrep.spec)
+    assert_vertices_match_oracles(hrep, vertex_set, 64, nonlocal_tables, 1344)
+    assert {v for coords in vertex_set.vertices for v in coords} == {0, Fraction(1, 2), 1}
 
 
 def test_two_by_three_polytope_shape(two_by_three_polytope):
     hrep, vertex_set = two_by_three_polytope
     assert vertex_set.affine_dim == 24
-    assert vertex_set.count("deterministic") == 81
-    assert len(vertex_set) == 1161  # recorded from the enumeration run
+    # 3**4 joint assignments, and relabelled 2- and 3-outcome PR boxes
+    nonlocal_tables = oracles.relabelled_pr_box_tables(hrep.spec)
+    assert_vertices_match_oracles(hrep, vertex_set, 81, nonlocal_tables, 1080)
+
+
+def test_unbounded_system_rejected():
+    # x0 = x1 >= 0 has the recession direction (1, 1)
+    variables = bl.all_atom_ids(SINGLE_PAIR)[:2]
+    hrep = bl.HRep(SINGLE_PAIR, variables, ((1, -1),), (0,))
+    with pytest.raises(bl.BoxLogicError, match="recession direction"):
+        bl.enumerate_vertices(hrep)
 
 
 def test_deterministic_vertices_are_assignment_tables(three_input_polytope):

@@ -175,6 +175,15 @@ def test_round_trip_seeded_mixtures(chsh_logic, chsh_vertex_states):
         assert bl.pr_from_state(rho).table == pr.table
 
 
+def test_verify_scenario_stops_on_an_invalid_table(monkeypatch):
+    from boxlogic import report
+
+    zero = bl.PRState.from_function(CHSH, lambda a, b, alpha, beta: Fraction(0))
+    monkeypatch.setattr(report, "vertex_pr_states", lambda hrep, vertex_set: [zero])
+    with pytest.raises(bl.StateError, match="table violates"):
+        report.verify_scenario(CHSH, sample_count=0)
+
+
 def test_sampling_is_deterministic(chsh_vertex_states):
     first = bl.sample_pr_states(chsh_vertex_states, 10, seed=99)
     second = bl.sample_pr_states(chsh_vertex_states, 10, seed=99)
@@ -192,6 +201,67 @@ def test_non_additive_state_rejected(chsh_logic):
     assert not bl.verify_state_additivity(broken)
     with pytest.raises(bl.StateError):
         bl.pr_from_state(broken)
+
+
+# -- Python-int paths, taken when denominators pass the int64 bound ---------------
+
+
+def past_int64_mixture(spec):
+    """A valid table whose entries share a denominator of 4 * 3**40 > 2**62."""
+    w = Fraction(1, 3**40)
+    return bl.convex_combination([pr_box(spec), bl.PRState.uniform(spec)], [w, 1 - w])
+
+
+def test_state_from_pr_past_int64_matches_fraction_sums(chsh_logic):
+    pr = past_int64_mixture(CHSH)
+    rho = bl.state_from_pr(chsh_logic, pr)
+    assert rho.denominator >= bl.states._INT64_SAFE
+    for i in range(len(chsh_logic.elements)):
+        for dec in chsh_logic.all_decompositions(i):
+            atoms = (pr.atom_value(chsh_logic.atom_ids[pos]) for pos in dec)
+            assert rho.value(i) == sum(atoms, Fraction(0))
+    assert bl.pr_from_state(rho).table == pr.table
+
+
+def test_signalling_table_past_int64_breaks_well_definedness(chsh_logic):
+    base = past_int64_mixture(CHSH)
+    shift = Fraction(1, 3**41)
+
+    def fn(a, b, alpha, beta):
+        # moves weight between left outcomes for input pair (0, 0) only
+        v = base.value(a, b, alpha, beta)
+        if (a, b, beta) == (0, 0, 0):
+            return v + shift if alpha == 0 else v - shift
+        return v
+
+    signalling = bl.PRState.from_function(CHSH, fn)
+    assert bl.validate_pr_state(signalling)
+    with pytest.raises(bl.WellDefinednessViolation):
+        bl.state_from_pr(chsh_logic, signalling, validate=False)
+
+
+def test_additivity_scan_past_int64(chsh_logic):
+    rho = bl.state_from_pr(chsh_logic, past_int64_mixture(CHSH))
+    unchecked = bl.LogicState(chsh_logic, rho.denominator, rho.numerators)
+    assert unchecked.scaled_int64() is None
+    assert bl.verify_state_additivity(unchecked)
+    nums = list(rho.numerators)
+    nums[chsh_logic.atom_element(AtomId(0, 0, 0, 0))] += 1
+    broken = bl.LogicState(chsh_logic, rho.denominator, nums)
+    assert broken.scaled_int64() is None
+    assert not bl.verify_state_additivity(broken)
+
+
+def test_monotonicity_scan_past_int64(chsh_logic):
+    rho = bl.state_from_pr(chsh_logic, past_int64_mixture(CHSH))
+    assert rho.scaled_int64() is None
+    pairs = len(chsh_logic.comparable_pairs()[0])
+    assert bl.verify_state_monotonicity(chsh_logic, [rho, rho]) == (True, 2 * pairs)
+    nums = list(rho.numerators)
+    nums[chsh_logic.index_of(chsh_logic.full_mask)] = 0
+    broken = bl.LogicState(chsh_logic, rho.denominator, nums)
+    assert broken.scaled_int64() is None
+    assert bl.verify_state_monotonicity(chsh_logic, [rho, broken]) == (False, pairs)
 
 
 # -- point states ------------------------------------------------------------------
