@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import BoxLogicError, VariableCapExceeded
@@ -119,15 +121,29 @@ def is_extreme_point(hrep: HRep, x: Sequence[Fraction]) -> bool:
 
 @dataclass
 class VertexSet:
-    """Canonically sorted exact vertices of a table polytope."""
+    """Canonically sorted exact vertices of a table polytope.
+
+    The vertices are held as integer rows ``scaled`` over the one
+    denominator ``scale``, the lcm of all vertex denominators;
+    ``vertices`` reads them as ``Fraction`` tuples:
+    ``vertices[k][i] == Fraction(scaled[k][i], scale)``.
+    """
 
     hrep: HRep
     affine_dim: int
-    vertices: tuple[tuple[Fraction, ...], ...]
-    classes: tuple[str, ...]
+    scaled: tuple[tuple[int, ...], ...]
+    scale: int
+
+    @cached_property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.scale) for v in row) for row in self.scaled)
+
+    @cached_property
+    def classes(self) -> tuple[str, ...]:
+        return tuple(classify_vertex(v) for v in self.vertices)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.scaled)
 
     def count(self, cls: str) -> int:
         return sum(1 for c in self.classes if c == cls)
@@ -160,6 +176,9 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
 
     Vertices are read back over one denominator: with x0 scaled to
     integers over d0, ray (s, r) gives x = (s*x0 + d0*basis^T r) / (s*d0).
+    Each vertex is reduced and scaled to the lcm of all vertex
+    denominators; sorting and deduplicating those integer rows gives the
+    order and the set of the ``Fraction`` tuples.
     """
     if adjacency not in ("combinatorial", "algebraic"):
         raise ValueError(f"unknown adjacency test {adjacency!r}")
@@ -249,7 +268,7 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
 
     x0n, d0 = integerize(x0)
     coord_rows = list(zip(*basis)) if dim else [()] * hrep.nvars
-    verts: list[tuple[Fraction, ...]] = []
+    rows: list[tuple[tuple[int, ...], int]] = []
     for ray in rays:
         s = ray[0]
         if s == 0:
@@ -257,16 +276,13 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
         if s < 0:
             raise BoxLogicError("ray with negative homogeneous coordinate")
         r = ray[1:]
-        den = s * d0
-        verts.append(
-            tuple(
-                Fraction(s * x0n[i] + d0 * _dot(coord_rows[i], r), den)
-                for i in range(hrep.nvars)
-            )
-        )
-    ordered = sorted(set(verts))
-    classes = tuple(classify_vertex(v) for v in ordered)
-    return VertexSet(hrep, dim, tuple(ordered), classes)
+        nums = [s * x0n[i] + d0 * _dot(coord_rows[i], r) for i in range(hrep.nvars)]
+        g = gcd(s * d0, *nums)
+        rows.append((tuple(v // g for v in nums), s * d0 // g))
+    # integer keys over one denominator sort and compare as the Fraction tuples do
+    scale = lcm(*(den for _, den in rows))
+    scaled = sorted({tuple(v * (scale // den) for v in nums) for nums, den in rows})
+    return VertexSet(hrep, dim, tuple(scaled), scale)
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

@@ -25,9 +25,8 @@ from .scenario import DEFAULT_GAMMA_CAP, AtomId, BoxWorldSpec, Side
 from .states import (
     PRState,
     check_order_determining,
-    pr_from_state,
-    sample_pr_states,
-    state_from_pr,
+    round_trip_rows,
+    sample_mixture_rows,
     verify_state_monotonicity,
 )
 
@@ -133,19 +132,15 @@ def verify_scenario(
         hrep = None
     if hrep is not None:
         vertex_set = enumerate_vertices(hrep)
-        vertex_states = vertex_pr_states(hrep, vertex_set)
-        mixtures = sample_pr_states(vertex_states, sample_count, seed)
-        round_trip_failures = 0
-        logic_states = []
-        for pr in vertex_states + mixtures:
-            # state_from_pr validates pr, raising StateError on a violation,
-            # so every table that gets this far is valid.  It is a function
-            # of the table, so a read-back equal to pr would give rho again.
-            rho = state_from_pr(logic, pr)
-            if pr_from_state(rho).table != pr.table:
-                round_trip_failures += 1
-            logic_states.append(rho)
-        vertex_logic_states = logic_states[: len(vertex_states)]
+        nv = len(vertex_set)
+        mixtures, mixture_dens = sample_mixture_rows(
+            vertex_set.scaled, vertex_set.scale, sample_count, seed
+        )
+        # hrep.variables and logic.atom_ids are both all_atom_ids(spec): same columns
+        batch = round_trip_rows(
+            logic, [*vertex_set.scaled, *mixtures], [vertex_set.scale] * nv + mixture_dens
+        )
+        vertex_logic_states = [s for s in batch.states[:nv] if s is not None]
         monotone_ok, monotone_checked = verify_state_monotonicity(
             logic, vertex_logic_states
         )
@@ -158,10 +153,10 @@ def verify_scenario(
         }
         state_section.update(
             {
-                "vertex_states": len(vertex_states),
+                "vertex_states": nv,
                 "random_states": len(mixtures),
-                "all_tables_valid": True,
-                "round_trip_failures": round_trip_failures,
+                "all_tables_valid": bool(batch.valid.all()),
+                "round_trip_failures": batch.failures,
                 "monotonicity": {"ok": monotone_ok, "checked": monotone_checked},
                 "order_determining": order.to_dict(),
             }

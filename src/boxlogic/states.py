@@ -3,26 +3,57 @@
 All arithmetic in this module is exact: tables hold ``fractions.Fraction``
 entries and states store one shared denominator with integer numerators.
 Floating-point input is rejected.
+
+Tables and states meet in one batch kernel.  A batch of T tables is an
+integer matrix X (T x A, one column per atom in ``all_atom_ids(spec)``
+order, which is both ``logic.atom_ids`` and ``ns_polytope``'s variables)
+with one positive denominator
+per row, every row reduced to lowest terms.  With three fixed 0/1
+matrices of the logic, the kernel
+
+- validates: X >= 0 and X @ E^T == den * rhs, where E holds the
+  ``ns_polytope`` equality rows (normalization and both marginal
+  families), the same constraints ``validate_pr_state`` checks;
+- extends: the element values are V = X @ C, where C is the A x N
+  incidence matrix of the canonical atomic partitions;
+- checks well-definedness: X @ R equals V at each row's element, where R
+  is the incidence matrix of every atomic partition of every element;
+- reads back: the full-set column of V equals den, 0 <= V <= den, and
+  the atom columns of V validate as a table again.
+
+Every sum the kernel forms adds at most A entries of magnitude at most
+M = max(|X|, den), so one dtype rule covers every product: int64 when
+M * max(A, 2) < 2**62, ``object`` (Python integers) otherwise.  Both
+dtypes run the same numpy expressions.  The partition check runs over a
+fixed number of tables at a time, so its T x |R| temporaries stay one
+chunk high however many tables a batch holds; V itself is the storage
+that the batch's states view, so no second copy of the values is kept.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import StateError, TheoremViolation, WellDefinednessViolation
 from .logic import ConcreteLogic, Logic, _bit_indices
+from .polytope import ns_polytope
 from .scenario import AtomId, BoxWorldSpec
 
-_INT64_SAFE = 2**62
-
 RationalLike = Union[Fraction, int, str]
+
+# tables per partition product: bounds its temporaries at _CHUNK x |R| entries
+_CHUNK = 16
+# the seeded mixtures: at most this many vertices, each of integer weight 1.._MAX_WEIGHT
+_MAX_SUPPORT = 6
+_MAX_WEIGHT = 9
 
 
 def _as_fraction(value: RationalLike, where: str = "") -> Fraction:
@@ -32,6 +63,11 @@ def _as_fraction(value: RationalLike, where: str = "") -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise StateError(f"bad rational {value!r}{where}: {exc}") from exc
+
+
+def _exact_dtype(magnitude: int, natoms: int):
+    """int64 when sums of ``natoms`` entries up to ``magnitude`` stay below 2**62."""
+    return np.int64 if magnitude * max(natoms, 2) < 2**62 else object
 
 
 @dataclass(frozen=True)
@@ -164,6 +200,13 @@ def validate_pr_state(pr: PRState) -> list[Violation]:
 class LogicState:
     """Normalized additive map on a logic's elements, held exactly.
 
+    ``numerators`` is a read-only integer array over ``denominator``, one
+    entry per element, in the kernel's dtype.  The states of a batch are
+    views into its read-only value matrix, in lowest terms; a writeable
+    array passed in is copied, so later writes to it do not reach the
+    state.  Equality compares
+    values, so states over different denominators can be equal.
+
     ``additive_checked`` records that additivity over disjoint unions has
     been established, either by the construction (point states; tables
     passing the all-partitions check) or by an explicit scan.
@@ -181,87 +224,140 @@ class LogicState:
     ):
         if denominator <= 0:
             raise StateError("denominator must be positive")
-        nums = [int(v) for v in numerators]
-        if len(nums) != len(logic.elements):
+        if not isinstance(numerators, np.ndarray):
+            numerators = np.array([int(v) for v in numerators], dtype=object)
+        if numerators.shape != (len(logic.elements),):
             raise StateError("one value per logic element is required")
-        g = denominator
-        for v in nums:
-            g = gcd(g, v)
-        if g > 1:
-            denominator //= g
-            nums = [v // g for v in nums]
+        magnitude = max(denominator, int(np.abs(numerators).max()))
+        # a read-only row (a batch's value matrix) is shared; anything else is copied
+        dtype = _exact_dtype(magnitude, len(logic.atom_bits))
+        nums = numerators.astype(dtype, copy=bool(numerators.flags.writeable))
+        nums.flags.writeable = False
         self.logic = logic
-        self.denominator = denominator
-        self.numerators = tuple(int(v) for v in nums)
+        self.denominator = int(denominator)
+        self.numerators = nums
         self.additive_checked = additive_checked
 
     def value(self, i: int) -> Fraction:
         self.logic._check(i)
-        return Fraction(self.numerators[i], self.denominator)
+        return Fraction(int(self.numerators[i]), self.denominator)
 
     def value_of_bits(self, bits: int) -> Fraction:
         return self.value(self.logic.index_of(bits))
 
     def is_two_valued(self) -> bool:
-        return all(v in (0, self.denominator) for v in self.numerators)
-
-    def scaled_int64(self) -> Optional[np.ndarray]:
-        """Numerators as an int64 array, or None when they do not fit."""
-        if self.denominator >= _INT64_SAFE:
-            return None
-        return np.array(self.numerators, dtype=np.int64)
+        nums = self.numerators
+        return bool(np.all((nums == 0) | (nums == self.denominator)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogicState):
             return NotImplemented
-        return (
-            self.logic is other.logic
-            and self.denominator == other.denominator
-            and self.numerators == other.numerators
+        if self.logic is not other.logic:
+            return False
+        if self.denominator == other.denominator:
+            return bool(np.array_equal(self.numerators, other.numerators))
+        return bool(
+            np.array_equal(
+                self.numerators.astype(object) * other.denominator,
+                other.numerators.astype(object) * self.denominator,
+            )
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.logic), self.denominator, self.numerators))
+        values = tuple(Fraction(int(v), self.denominator) for v in self.numerators)
+        return hash((id(self.logic), values))
 
 
 class _StateTables:
-    """Per-logic index arrays shared by every state computation."""
+    """The batch kernel of one scenario logic (see the module docstring)."""
 
-    def __init__(self, logic: ConcreteLogic):
-        n = len(logic.elements)
-        natoms = len(logic.atom_bits)
-        canon: list[tuple[int, ...]] = []
-        for i in range(n):
-            dec = logic.decomposition(i)
-            if dec is None:
-                raise TheoremViolation(
-                    f"element {i} admits no atomic partition; states are undefined"
-                )
-            canon.append(dec)
-        width = max((len(d) for d in canon), default=0)
-        # sentinel atom position natoms carries value 0 in padded sums
-        self.canon = np.full((n, max(width, 1)), natoms, dtype=np.int64)
-        for i, dec in enumerate(canon):
-            for k, pos in enumerate(dec):
-                self.canon[i, k] = pos
+    def __init__(self, logic: Logic):
+        hrep = ns_polytope(logic.spec, var_cap=sys.maxsize)
+        n, natoms = len(logic.elements), len(logic.atom_bits)
+        self.spec = logic.spec
+        self.atom_ids = logic.atom_ids
+        self.natoms = natoms
+        self.eq = np.array(hrep.eq_coeffs, dtype=np.int64).reshape(-1, hrep.nvars).T
+        self.eq_rhs = np.array(hrep.eq_rhs, dtype=np.int64)
+        self.atom_elems = np.array(logic.atom_indices, dtype=np.intp)
+        self.full = logic.index_of(logic.full_mask)
+        canon = [logic.decomposition(i) for i in range(n)]
+        # an element without atomic partition fails extension, not validation
+        self.undefined = next((i for i, dec in enumerate(canon) if dec is None), None)
+        self.canon = np.zeros((natoms, n), dtype=np.int64)
         rows_elem: list[int] = []
         rows: list[tuple[int, ...]] = []
-        for i in range(n):
-            for dec in logic.all_decompositions(i):
+        for i, dec in enumerate(canon):
+            self.canon[list(dec or ()), i] = 1
+            for part in logic.all_decompositions(i):
                 rows_elem.append(i)
-                rows.append(dec)
-        rwidth = max((len(d) for d in rows), default=0)
-        self.rows_elem = np.array(rows_elem, dtype=np.int64)
-        self.rows = np.full((len(rows), max(rwidth, 1)), natoms, dtype=np.int64)
-        for r, dec in enumerate(rows):
-            for k, pos in enumerate(dec):
-                self.rows[r, k] = pos
-        self.natoms = natoms
-        self.canon_lists = canon
-        self.row_lists = list(zip(rows_elem, rows))
+                rows.append(part)
+        self.rows_elem = np.array(rows_elem, dtype=np.intp)
+        self.rows = np.zeros((natoms, len(rows)), dtype=np.int64)
+        for r, part in enumerate(rows):
+            self.rows[list(part), r] = 1
+
+    def batch(self, rows: Sequence[Sequence[int]], dens: Sequence[int]):
+        """Integer tables over positive denominators as (X, den), reduced."""
+        magnitude = max(max(dens, default=1), max((abs(v) for row in rows for v in row), default=0))
+        both = np.array(
+            [[*row, den] for row, den in zip(rows, dens)],
+            dtype=_exact_dtype(magnitude, self.natoms),
+        ).reshape(len(rows), self.natoms + 1)
+        both //= np.gcd.reduce(both, axis=1)[:, None]
+        return both[:, :-1], both[:, -1]
+
+    def valid(self, x: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """Which rows are tables: non-negative, normalized, non-signalling."""
+        return (x >= 0).all(axis=1) & (x @ self.eq == den[:, None] * self.eq_rhs).all(axis=1)
+
+    def extend(self, x: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """Element values X @ C, once every partition of every element agrees."""
+        if self.undefined is not None:
+            raise TheoremViolation(
+                f"element {self.undefined} admits no atomic partition; states are undefined"
+            )
+        values = x @ self.canon
+        for start in range(0, len(x), _CHUNK):
+            sums = x[start : start + _CHUNK] @ self.rows
+            expected = values[start : start + _CHUNK][:, self.rows_elem]
+            bad = np.argwhere(sums != expected)
+            if bad.size:
+                t, r = bad[0]
+                d = int(den[start + t])
+                part = tuple(int(k) for k in np.flatnonzero(self.rows[:, r]))
+                raise WellDefinednessViolation(
+                    f"element {int(self.rows_elem[r])}: partition {part} sums to "
+                    f"{Fraction(int(sums[t, r]), d)} but the canonical partition gives "
+                    f"{Fraction(int(expected[t, r]), d)}"
+                )
+        values.flags.writeable = False
+        return values
+
+    def read_back(self, values: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """The atom columns of element values, checked to form tables again."""
+        if (values[:, self.full] != den).any():
+            raise StateError("state does not assign 1 to the full set")
+        if (values.min(axis=1) < 0).any() or (values.max(axis=1) > den).any():
+            raise StateError("state values leave [0, 1]")
+        atoms = values[:, self.atom_elems]
+        bad = np.flatnonzero(~self.valid(atoms, den))
+        if bad.size:
+            violations = validate_pr_state(self.table(atoms[bad[0]], int(den[bad[0]])))
+            raise TheoremViolation(
+                "an additive state produced an invalid table: "
+                + "; ".join(str(v.to_dict()) for v in violations[:3])
+            )
+        return atoms
+
+    def table(self, atoms: np.ndarray, den: int) -> PRState:
+        by_atom = {aid: Fraction(int(v), den) for aid, v in zip(self.atom_ids, atoms)}
+        return PRState.from_function(
+            self.spec, lambda a, b, alpha, beta: by_atom[AtomId(a, alpha, b, beta)]
+        )
 
 
-def _state_tables(logic: ConcreteLogic) -> _StateTables:
+def _state_tables(logic: Logic) -> _StateTables:
     tables = getattr(logic, "_state_tables_cache", None)
     if tables is None:
         tables = _StateTables(logic)
@@ -278,45 +374,17 @@ def state_from_pr(logic: Logic, pr: PRState, *, validate: bool = True) -> LogicS
     the state additive: for disjoint p, q the concatenation of their
     partitions is a partition of the union.
     """
-    if validate:
-        violations = validate_pr_state(pr)
-        if violations:
-            raise StateError(
-                f"table violates {len(violations)} constraint(s); "
-                f"first: {violations[0].to_dict()}"
-            )
     tables = _state_tables(logic)
-    atom_fracs = [pr.atom_value(aid) for aid in logic.atom_ids]
-    den = 1
-    for f in atom_fracs:
-        den = lcm(den, f.denominator)
-    atom_nums = [int(f * den) for f in atom_fracs]
-
-    width = tables.rows.shape[1] if tables.rows.size else 1
-    if 0 < den * max(width, 1) < _INT64_SAFE:
-        vals = np.array(atom_nums + [0], dtype=np.int64)
-        elem_nums = vals[tables.canon].sum(axis=1)
-        row_sums = vals[tables.rows].sum(axis=1)
-        bad = np.nonzero(row_sums != elem_nums[tables.rows_elem])[0]
-        if bad.size:
-            r = int(bad[0])
-            raise WellDefinednessViolation(
-                f"element {int(tables.rows_elem[r])}: partition "
-                f"{tuple(int(x) for x in tables.rows[r] if x < tables.natoms)} sums to "
-                f"{Fraction(int(row_sums[r]), den)} but the canonical partition gives "
-                f"{Fraction(int(elem_nums[tables.rows_elem[r]]), den)}"
-            )
-        nums = [int(v) for v in elem_nums]
-    else:
-        nums = [sum(atom_nums[pos] for pos in dec) for dec in tables.canon_lists]
-        for i, dec in tables.row_lists:
-            s = sum(atom_nums[pos] for pos in dec)
-            if s != nums[i]:
-                raise WellDefinednessViolation(
-                    f"element {i}: partition {dec} sums to {Fraction(s, den)} "
-                    f"but the canonical partition gives {Fraction(nums[i], den)}"
-                )
-    return LogicState(logic, den, nums, additive_checked=True)
+    fracs = [pr.atom_value(aid) for aid in logic.atom_ids]
+    den = lcm(*(f.denominator for f in fracs))
+    x, dens = tables.batch([[f.numerator * (den // f.denominator) for f in fracs]], [den])
+    if validate and not tables.valid(x, dens)[0]:
+        violations = validate_pr_state(pr)
+        raise StateError(
+            f"table violates {len(violations)} constraint(s); "
+            f"first: {violations[0].to_dict()}"
+        )
+    return LogicState(logic, int(dens[0]), tables.extend(x, dens)[0], additive_checked=True)
 
 
 def pr_from_state(state: LogicState) -> PRState:
@@ -333,25 +401,46 @@ def pr_from_state(state: LogicState) -> PRState:
                 f"union {u}, but values do not add"
             )
         state.additive_checked = True
-    if state.numerators[logic.index_of(logic.full_mask)] != state.denominator:
-        raise StateError("state does not assign 1 to the full set")
-    if any(not 0 <= v <= state.denominator for v in state.numerators):
-        raise StateError("state values leave [0, 1]")
+    tables = _state_tables(logic)
+    den = np.array([state.denominator], dtype=state.numerators.dtype)
+    return tables.table(tables.read_back(state.numerators[None, :], den)[0], state.denominator)
 
-    by_atom = {
-        aid: state.value(logic.atom_indices[pos])
-        for pos, aid in enumerate(logic.atom_ids)
-    }
-    pr = PRState.from_function(
-        logic.spec, lambda a, b, alpha, beta: by_atom[AtomId(a, alpha, b, beta)]
-    )
-    violations = validate_pr_state(pr)
-    if violations:
-        raise TheoremViolation(
-            "an additive state produced an invalid table: "
-            + "; ".join(str(v.to_dict()) for v in violations[:3])
-        )
-    return pr
+
+@dataclass
+class RoundTrip:
+    """A batch of tables taken to states and back.
+
+    ``valid`` flags the input rows that are tables; ``states`` holds the
+    state of each valid row and None for the others; ``failures`` counts
+    valid rows whose read-back table differs from the row.
+    """
+
+    valid: np.ndarray
+    states: list[Optional[LogicState]]
+    failures: int
+
+
+def round_trip_rows(
+    logic: Logic, rows: Sequence[Sequence[int]], dens: Sequence[int]
+) -> RoundTrip:
+    """Validate, extend and read back a batch of tables in one kernel pass.
+
+    Row k is the table ``rows[k] / dens[k]``, one column per atom in
+    ``logic.atom_ids`` order.  Rows that are not tables are flagged and
+    left out; on the others a well-definedness or read-back failure raises
+    as in ``state_from_pr`` and ``pr_from_state``.
+    """
+    tables = _state_tables(logic)
+    x, den = tables.batch(rows, dens)
+    valid = tables.valid(x, den)
+    kept = np.flatnonzero(valid)
+    x, den = x[kept], den[kept]
+    values = tables.extend(x, den)
+    failures = int((tables.read_back(values, den) != x).any(axis=1).sum())
+    states: list[Optional[LogicState]] = [None] * len(valid)
+    for k, row in enumerate(kept.tolist()):
+        states[row] = LogicState(logic, int(den[k]), values[k], additive_checked=True)
+    return RoundTrip(valid, states, failures)
 
 
 def _disjoint_union_targets(logic: ConcreteLogic) -> np.ndarray:
@@ -378,19 +467,11 @@ def _first_additivity_failure(state: LogicState) -> Optional[tuple[int, int, int
         raise TheoremViolation(
             f"disjoint elements {int(lefts[k])}, {int(rights[k])} have no union in the table"
         )
-    scaled = state.scaled_int64()
-    if scaled is not None:
-        bad = np.nonzero(scaled[lefts] + scaled[rights] != scaled[targets])[0]
-        if not bad.size:
-            return None
-        k = int(bad[0])
-    else:
-        nums = state.numerators
-        for k in range(len(lefts)):
-            if nums[int(lefts[k])] + nums[int(rights[k])] != nums[int(targets[k])]:
-                break
-        else:
-            return None
+    nums = state.numerators
+    bad = np.nonzero(nums[lefts] + nums[rights] != nums[targets])[0]
+    if not bad.size:
+        return None
+    k = int(bad[0])
     return int(lefts[k]), int(rights[k]), int(targets[k])
 
 
@@ -432,27 +513,55 @@ def convex_combination(
     )
 
 
+def _mixture_draws(n: int, count: int, seed: int, max_support: int, max_weight: int):
+    """(support, integer weights) of each seeded mixture of n tables."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(1, min(max_support, n))
+        support = rng.sample(range(n), size)
+        yield support, [rng.randint(1, max_weight) for _ in support]
+
+
 def sample_pr_states(
     vertices: Sequence[PRState],
     count: int,
     seed: int,
     *,
-    max_support: int = 6,
-    max_weight: int = 9,
+    max_support: int = _MAX_SUPPORT,
+    max_weight: int = _MAX_WEIGHT,
 ) -> list[PRState]:
     """Seeded rational mixtures of the given extreme tables."""
     if not vertices:
         raise StateError("no vertices to mix")
-    rng = random.Random(seed)
     out = []
-    for _ in range(count):
-        size = rng.randint(1, min(max_support, len(vertices)))
-        support = rng.sample(range(len(vertices)), size)
-        raw = [rng.randint(1, max_weight) for _ in support]
+    for support, raw in _mixture_draws(len(vertices), count, seed, max_support, max_weight):
         total = sum(raw)
         weights = [Fraction(w, total) for w in raw]
         out.append(convex_combination([vertices[i] for i in support], weights))
     return out
+
+
+def sample_mixture_rows(
+    rows: Sequence[Sequence[int]],
+    scale: int,
+    count: int,
+    seed: int,
+) -> tuple[list[list[int]], list[int]]:
+    """The mixtures of ``sample_pr_states``, built in integers.
+
+    ``rows`` are tables as integers over the one denominator ``scale``
+    (as in ``VertexSet.scaled``).  The same seed draws the same supports
+    and weights as the defaults of ``sample_pr_states``; mixture k is
+    ``mixed[k] / dens[k]``.
+    """
+    if not rows:
+        raise StateError("no vertices to mix")
+    mixed, dens = [], []
+    for support, raw in _mixture_draws(len(rows), count, seed, _MAX_SUPPORT, _MAX_WEIGHT):
+        columns = zip(*(rows[i] for i in support))
+        mixed.append([sum(w * v for w, v in zip(raw, col)) for col in columns])
+        dens.append(sum(raw) * scale)
+    return mixed, dens
 
 
 # -- states determine the order ------------------------------------------
@@ -528,8 +637,9 @@ def _certified_points(logic: ConcreteLogic, states: Sequence[LogicState]) -> int
     certified = 0
     for s in states:
         if s.is_two_valued():
-            ones = "".join("1" if v else "0" for v in reversed(s.numerators))
-            certified |= points_by_column.get(int("0" + ones, 2), 0)
+            # the element-membership mask as binary digits, highest element first
+            digits = (s.numerators[::-1] != 0).astype(np.uint8) + ord("0")
+            certified |= points_by_column.get(int(digits.tobytes(), 2), 0)
     return certified
 
 
@@ -540,13 +650,7 @@ def verify_state_monotonicity(
     lows, highs = logic.comparable_pairs()
     checked = 0
     for s in states:
-        arr = s.scaled_int64()
-        if arr is not None:
-            if np.any(arr[lows] > arr[highs]):
-                return False, checked
-        else:
-            for i, j in zip(lows.tolist(), highs.tolist()):
-                if s.numerators[i] > s.numerators[j]:
-                    return False, checked
+        if np.any(s.numerators[lows] > s.numerators[highs]):
+            return False, checked
         checked += len(lows)
     return True, checked

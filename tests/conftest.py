@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import boxlogic as bl
@@ -51,3 +53,18 @@ def two_by_three_polytope():
 def chsh_vertex_states(chsh_polytope):
     hrep, vertex_set = chsh_polytope
     return bl.vertex_pr_states(hrep, vertex_set)
+
+
+@pytest.fixture()
+def invalid_first_vertex(monkeypatch):
+    """verify_scenario sees a vertex set whose first table is all zeros."""
+    from boxlogic import report
+
+    enumerate_vertices = report.enumerate_vertices
+
+    def patched(hrep):
+        vertex_set = enumerate_vertices(hrep)
+        zero = (0,) * hrep.nvars
+        return dataclasses.replace(vertex_set, scaled=(zero, *vertex_set.scaled[1:]))
+
+    monkeypatch.setattr(report, "enumerate_vertices", patched)

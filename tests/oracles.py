@@ -5,6 +5,7 @@ algorithms, deliberately avoiding the code paths under test.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import boxlogic as bl
@@ -262,3 +263,88 @@ def naive_covers(elements) -> list:
         for j in sorted(above[i])
         if not any(j in above[k] for k in above[i])
     ]
+
+
+# -- per-table state oracle, checked against the batch kernel -------------------
+# Plain loops over one table at a time: no numpy, no kernel matrices and no
+# logic decomposition methods.
+
+
+def atom_partitions(bits: int, atom_bits) -> list:
+    """Every split of a set into pairwise-disjoint atoms, as sorted positions."""
+    found = []
+
+    def rec(rem: int, chosen: tuple) -> None:
+        if rem == 0:
+            found.append(tuple(sorted(chosen)))
+            return
+        low = rem & -rem
+        for pos, a in enumerate(atom_bits):
+            if a & low and a & rem == a:
+                rec(rem & ~a, chosen + (pos,))
+
+    if bits:
+        rec(bits, ())
+    return sorted(set(found))
+
+
+def table_is_valid(pr) -> bool:
+    """Non-negative, normalized per input pair, and both marginals input-free."""
+    la, rb = pr.spec.left_sizes, pr.spec.right_sizes
+    den = math.lcm(*(v.denominator for ab in pr.table for row in ab for rr in row for v in rr))
+    t = [
+        [[[v.numerator * (den // v.denominator) for v in rr] for rr in row] for row in ab]
+        for ab in pr.table
+    ]
+    if any(v < 0 for ab in t for row in ab for rr in row for v in rr):
+        return False
+    for a in range(len(la)):
+        for b in range(len(rb)):
+            if sum(t[a][b][x][y] for x in range(la[a]) for y in range(rb[b])) != den:
+                return False
+            for y in range(rb[b]):
+                if sum(t[a][b][x][y] for x in range(la[a])) != sum(
+                    t[0][b][x][y] for x in range(la[0])
+                ):
+                    return False
+            for x in range(la[a]):
+                if sum(t[a][b][x][y] for y in range(rb[b])) != sum(
+                    t[a][0][x][y] for y in range(rb[0])
+                ):
+                    return False
+    return True
+
+
+def element_partitions(logic) -> list:
+    """``atom_partitions`` of every element, in element index order."""
+    return [atom_partitions(bits, logic.atom_bits) for bits in logic.elements]
+
+
+def state_oracle(logic, partitions, pr) -> dict:
+    """Element values of a table through every atomic partition, exactly.
+
+    ``partitions`` is ``element_partitions(logic)``.  The entries are put
+    over their lcm denominator ``den`` and summed as Python integers.
+    ``numerators[i] / den`` is the sum over element i's lexicographically
+    least partition (0 for the empty element); ``mismatch`` is the first
+    (element, partition, sum, canonical sum) that disagrees, scanning
+    elements in index order and partitions in sorted order, or None.
+    """
+    entries = [pr.atom_value(aid) for aid in logic.atom_ids]
+    den = math.lcm(*(f.denominator for f in entries))
+    atoms = [f.numerator * (den // f.denominator) for f in entries]
+    numerators, mismatch = [], None
+    for i, parts in enumerate(partitions):
+        sums = [sum(atoms[pos] for pos in part) for part in parts] or [0]
+        numerators.append(sums[0])
+        if mismatch is None:
+            for part, s in zip(parts, sums):
+                if s != sums[0]:
+                    mismatch = (i, part, Fraction(s, den), Fraction(sums[0], den))
+                    break
+    return {
+        "valid": table_is_valid(pr),
+        "den": den,
+        "numerators": numerators,
+        "mismatch": mismatch,
+    }

@@ -234,3 +234,12 @@ def test_verify_rejects_negative_samples(chsh_file, capsys):
     code, out, _ = run(capsys, ["verify", chsh_file, "--samples", "0"])
     assert code == 0
     assert json.loads(out)["all_passed"] is True
+
+
+def test_verify_invalid_own_table_is_a_failed_claim(chsh_file, capsys, invalid_first_vertex):
+    code, out, err = run(capsys, ["verify", chsh_file, "--samples", "10"])
+    assert code == 4
+    assert err == ""
+    report = json.loads(out)
+    assert report["state_correspondence"]["all_tables_valid"] is False
+    assert report["all_passed"] is False

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -113,6 +114,19 @@ def test_vertices_canonically_sorted_and_reproducible(chsh_polytope):
     again = bl.enumerate_vertices(hrep)
     assert again.vertices == vertex_set.vertices
     assert again.classes == vertex_set.classes
+
+
+@pytest.mark.parametrize(
+    "polytope", ["chsh_polytope", "three_input_polytope", "two_by_three_polytope"]
+)
+def test_integer_keys_give_the_fraction_tuple_order(request, polytope):
+    _, vertex_set = request.getfixturevalue(polytope)
+    assert vertex_set.vertices == tuple(sorted(set(vertex_set.vertices)))
+    scale = vertex_set.scale
+    assert scale == math.lcm(*(x.denominator for v in vertex_set.vertices for x in v))
+    assert vertex_set.vertices == tuple(
+        tuple(Fraction(v, scale) for v in row) for row in vertex_set.scaled
+    )
 
 
 def assert_vertices_match_oracles(

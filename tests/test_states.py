@@ -1,10 +1,14 @@
+import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import boxlogic as bl
 from boxlogic import AtomId, LocalizedSpec, Side
 
+import oracles
 from conftest import CHSH, THREE_INPUT
 
 
@@ -106,14 +110,18 @@ def test_pr_box_state_atom_values(chsh_logic):
     assert rho.value(chsh_logic.atom_element(AtomId(0, 0, 1, 1))) == 0
 
 
-def test_signalling_table_breaks_well_definedness(chsh_logic):
+def signalling_table(spec):
     # all weight on one outcome pair for input pair (0,0), uniform elsewhere
     def fn(a, b, alpha, beta):
         if (a, b) == (0, 0):
             return Fraction(1) if (alpha, beta) == (0, 0) else Fraction(0)
         return Fraction(1, 4)
 
-    signalling = bl.PRState.from_function(CHSH, fn)
+    return bl.PRState.from_function(spec, fn)
+
+
+def test_signalling_table_breaks_well_definedness(chsh_logic):
+    signalling = signalling_table(CHSH)
     assert bl.validate_pr_state(signalling)
     with pytest.raises(bl.WellDefinednessViolation):
         bl.state_from_pr(chsh_logic, signalling, validate=False)
@@ -175,13 +183,18 @@ def test_round_trip_seeded_mixtures(chsh_logic, chsh_vertex_states):
         assert bl.pr_from_state(rho).table == pr.table
 
 
-def test_verify_scenario_stops_on_an_invalid_table(monkeypatch):
-    from boxlogic import report
-
-    zero = bl.PRState.from_function(CHSH, lambda a, b, alpha, beta: Fraction(0))
-    monkeypatch.setattr(report, "vertex_pr_states", lambda hrep, vertex_set: [zero])
-    with pytest.raises(bl.StateError, match="table violates"):
-        report.verify_scenario(CHSH, sample_count=0)
+def test_verify_scenario_reports_an_invalid_table(chsh_logic, invalid_first_vertex):
+    # a table verify built itself that fails validation is a failed claim
+    report = bl.verify_scenario(CHSH, sample_count=10, logic=chsh_logic)
+    section = report["state_correspondence"]
+    assert section["all_tables_valid"] is False
+    assert report["all_passed"] is False
+    assert section["vertex_states"] == 24
+    assert section["round_trip_failures"] == 0
+    # the invalid row is left out of the state checks
+    pairs = len(chsh_logic.comparable_pairs()[0])
+    assert section["monotonicity"] == {"ok": True, "checked": 23 * pairs}
+    assert section["order_determining"]["states_used"] == 23
 
 
 def test_sampling_is_deterministic(chsh_vertex_states):
@@ -203,7 +216,7 @@ def test_non_additive_state_rejected(chsh_logic):
         bl.pr_from_state(broken)
 
 
-# -- Python-int paths, taken when denominators pass the int64 bound ---------------
+# -- object dtype, taken when denominators pass the int64 bound -------------------
 
 
 def past_int64_mixture(spec):
@@ -215,7 +228,8 @@ def past_int64_mixture(spec):
 def test_state_from_pr_past_int64_matches_fraction_sums(chsh_logic):
     pr = past_int64_mixture(CHSH)
     rho = bl.state_from_pr(chsh_logic, pr)
-    assert rho.denominator >= bl.states._INT64_SAFE
+    assert rho.denominator > 2**62
+    assert rho.numerators.dtype == object
     for i in range(len(chsh_logic.elements)):
         for dec in chsh_logic.all_decompositions(i):
             atoms = (pr.atom_value(chsh_logic.atom_ids[pos]) for pos in dec)
@@ -223,8 +237,8 @@ def test_state_from_pr_past_int64_matches_fraction_sums(chsh_logic):
     assert bl.pr_from_state(rho).table == pr.table
 
 
-def test_signalling_table_past_int64_breaks_well_definedness(chsh_logic):
-    base = past_int64_mixture(CHSH)
+def signalling_past_int64(spec):
+    base = past_int64_mixture(spec)
     shift = Fraction(1, 3**41)
 
     def fn(a, b, alpha, beta):
@@ -234,7 +248,11 @@ def test_signalling_table_past_int64_breaks_well_definedness(chsh_logic):
             return v + shift if alpha == 0 else v - shift
         return v
 
-    signalling = bl.PRState.from_function(CHSH, fn)
+    return bl.PRState.from_function(spec, fn)
+
+
+def test_signalling_table_past_int64_breaks_well_definedness(chsh_logic):
+    signalling = signalling_past_int64(CHSH)
     assert bl.validate_pr_state(signalling)
     with pytest.raises(bl.WellDefinednessViolation):
         bl.state_from_pr(chsh_logic, signalling, validate=False)
@@ -243,28 +261,153 @@ def test_signalling_table_past_int64_breaks_well_definedness(chsh_logic):
 def test_additivity_scan_past_int64(chsh_logic):
     rho = bl.state_from_pr(chsh_logic, past_int64_mixture(CHSH))
     unchecked = bl.LogicState(chsh_logic, rho.denominator, rho.numerators)
-    assert unchecked.scaled_int64() is None
+    assert unchecked.numerators.dtype == object
     assert bl.verify_state_additivity(unchecked)
     nums = list(rho.numerators)
     nums[chsh_logic.atom_element(AtomId(0, 0, 0, 0))] += 1
     broken = bl.LogicState(chsh_logic, rho.denominator, nums)
-    assert broken.scaled_int64() is None
+    assert broken.numerators.dtype == object
     assert not bl.verify_state_additivity(broken)
 
 
 def test_monotonicity_scan_past_int64(chsh_logic):
     rho = bl.state_from_pr(chsh_logic, past_int64_mixture(CHSH))
-    assert rho.scaled_int64() is None
+    assert rho.numerators.dtype == object
     pairs = len(chsh_logic.comparable_pairs()[0])
     assert bl.verify_state_monotonicity(chsh_logic, [rho, rho]) == (True, 2 * pairs)
     nums = list(rho.numerators)
     nums[chsh_logic.index_of(chsh_logic.full_mask)] = 0
     broken = bl.LogicState(chsh_logic, rho.denominator, nums)
-    assert broken.scaled_int64() is None
+    assert broken.numerators.dtype == object
     assert bl.verify_state_monotonicity(chsh_logic, [rho, broken]) == (False, pairs)
 
 
+# -- the batch kernel against the per-table oracle ----------------------------------
+
+
+def table_row(logic, pr):
+    """A table as integers over its lcm denominator, in atom order."""
+    entries = [pr.atom_value(aid) for aid in logic.atom_ids]
+    den = math.lcm(*(f.denominator for f in entries))
+    return [f.numerator * (den // f.denominator) for f in entries], den
+
+
+def invalid_tables(spec):
+    """A zero table, a non-signalling one with negative entries, two signalling ones."""
+
+    def negative(a, b, alpha, beta):
+        # uniform, with a marginal-free shift that leaves two entries at -1/4
+        if (a, b) == (0, 0):
+            return Fraction(-1, 4) if alpha == beta else Fraction(3, 4)
+        return Fraction(1, 4)
+
+    return [
+        bl.PRState.from_function(spec, lambda a, b, alpha, beta: Fraction(0)),
+        bl.PRState.from_function(spec, negative),
+        signalling_table(spec),
+        signalling_past_int64(spec),
+    ]
+
+
+def assert_kernel_matches_oracle(logic, rows, dens, prs):
+    partitions = oracles.element_partitions(logic)
+    batch = bl.states.round_trip_rows(logic, rows, dens)
+    assert batch.failures == 0
+    for k, pr in enumerate(prs):
+        expect = oracles.state_oracle(logic, partitions, pr)
+        assert bool(batch.valid[k]) == expect["valid"]
+        state = batch.states[k]
+        if not expect["valid"]:
+            assert state is None
+            continue
+        assert expect["mismatch"] is None
+        assert math.gcd(state.denominator, *map(int, state.numerators)) == 1
+        assert [int(v) * expect["den"] for v in state.numerators] == [
+            v * state.denominator for v in expect["numerators"]
+        ]
+        assert bl.pr_from_state(state).table == pr.table
+    return batch
+
+
+@pytest.mark.parametrize("scenario", ["chsh", "three_input"])
+def test_kernel_matches_oracle_on_vertices_and_mixtures(request, scenario):
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    hrep, vertex_set = request.getfixturevalue(f"{scenario}_polytope")
+    # the kernel's columns and the vertex rows share one atom order
+    assert logic.atom_ids == hrep.variables == bl.all_atom_ids(logic.spec)
+    vertices = bl.vertex_pr_states(hrep, vertex_set)
+    mixtures = bl.sample_pr_states(vertices, 40, seed=11)
+    mixed, dens = bl.states.sample_mixture_rows(
+        vertex_set.scaled, vertex_set.scale, 40, seed=11
+    )
+    # the integer-built mixtures are the sample_pr_states tables of the same seed
+    for row, den, pr in zip(mixed, dens, mixtures, strict=True):
+        assert [Fraction(v, den) for v in row] == [
+            pr.atom_value(aid) for aid in logic.atom_ids
+        ]
+    rows = [*vertex_set.scaled, *mixed]
+    dens = [vertex_set.scale] * len(vertex_set) + dens
+    batch = assert_kernel_matches_oracle(logic, rows, dens, vertices + mixtures)
+    assert batch.valid.all()
+    assert {s.numerators.dtype for s in batch.states} == {np.dtype(np.int64)}
+
+
+def test_kernel_matches_oracle_past_int64(chsh_logic):
+    prs = [past_int64_mixture(CHSH), pr_box(CHSH), signalling_past_int64(CHSH)]
+    rows, dens = zip(*(table_row(chsh_logic, pr) for pr in prs))
+    batch = assert_kernel_matches_oracle(chsh_logic, rows, dens, prs)
+    assert batch.valid.tolist() == [True, True, False]
+    assert batch.states[0].numerators.dtype == object
+
+
+def test_batch_flags_exactly_the_invalid_rows(chsh_logic, chsh_vertex_states):
+    bad = invalid_tables(CHSH)
+    prs = [*chsh_vertex_states[:3], bad[0], chsh_vertex_states[3], *bad[1:]]
+    rows, dens = zip(*(table_row(chsh_logic, pr) for pr in prs))
+    batch = assert_kernel_matches_oracle(chsh_logic, rows, dens, prs)
+    assert batch.valid.tolist() == [True] * 3 + [False, True] + [False] * 3
+    for pr in bad:
+        violations = bl.validate_pr_state(pr)
+        text = f"table violates {len(violations)} constraint(s); first: {violations[0].to_dict()}"
+        with pytest.raises(bl.StateError, match=f"^{re.escape(text)}$"):
+            bl.state_from_pr(chsh_logic, pr)
+
+
+def test_first_well_definedness_failure_matches_oracle(chsh_logic, chsh_vertex_states):
+    partitions = oracles.element_partitions(chsh_logic)
+    for pr in invalid_tables(CHSH) + [pr_box(CHSH)]:
+        expect = oracles.state_oracle(chsh_logic, partitions, pr)
+        if expect["mismatch"] is None:
+            rho = bl.state_from_pr(chsh_logic, pr, validate=False)
+            assert [int(v) for v in rho.numerators] == [
+                v * rho.denominator // expect["den"] for v in expect["numerators"]
+            ]
+            continue
+        i, part, got, want = expect["mismatch"]
+        text = f"element {i}: partition {part} sums to {got} but the canonical partition gives {want}"
+        with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
+            bl.state_from_pr(chsh_logic, pr, validate=False)
+    # past the first chunk of tables, the first failing table is the one reported
+    tables = bl.states._state_tables(chsh_logic)
+    prs = [*chsh_vertex_states * 3, signalling_table(CHSH), signalling_past_int64(CHSH)]
+    assert len(prs) > bl.states._CHUNK + 1
+    x, den = tables.batch(*zip(*(table_row(chsh_logic, pr) for pr in prs)))
+    i, part, got, want = oracles.state_oracle(chsh_logic, partitions, prs[-2])["mismatch"]
+    text = f"element {i}: partition {part} sums to {got} but the canonical partition gives {want}"
+    with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
+        tables.extend(x, den)
+
+
 # -- point states ------------------------------------------------------------------
+
+
+def test_state_does_not_share_a_writeable_array(chsh_logic):
+    nums = np.array([1 if e & 1 else 0 for e in chsh_logic.elements], dtype=np.int64)
+    state = bl.LogicState(chsh_logic, 1, nums, additive_checked=True)
+    assert state == bl.point_state(chsh_logic, 0)
+    nums[:] = 0
+    assert state == bl.point_state(chsh_logic, 0)
+    assert not state.numerators.flags.writeable
 
 
 def test_point_state_bounds(chsh_logic):
