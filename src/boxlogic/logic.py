@@ -7,14 +7,13 @@ set first, the full set second, everything else sorted by (popcount,
 numeric value).  Absent meets and joins are values (``None``), not
 errors.
 
-Relations between elements come from one column layout, the vertical
-tid-list bitmaps of Zaki (IEEE TKDE 2000): for each sample point x the
-table keeps a Python int whose bit i is set when element i contains x.
-The elements containing a set are the AND of its points' columns, the
-elements disjoint from it are the complement of their OR, and the set
-bits of a mask are walked exactly with ``m & -m`` and ``bit_length``.
-Pair lists, Hasse covers and the closure all use these primitives; the
-closure keeps its own columns over insertion order while it grows.
+Relations between elements come from two mechanisms.  All-pairs scans
+use the vertical tid-list bitmaps of Zaki (IEEE TKDE 2000): for each
+sample point x the table keeps a Python int whose bit i is set when
+element i contains x, and set bits are walked exactly with ``m & -m``
+and ``bit_length``; the pair lists and the closure use them.  Hasse
+covers and the order and additivity checks of states walk the atom
+steps p -> p | a instead, one per atom a disjoint from p.
 """
 
 from __future__ import annotations
@@ -151,13 +150,13 @@ class ConcreteLogic:
     # -- atoms and decompositions ----------------------------------------
 
     def _minimal_nonzero(self) -> list[int]:
+        # the table is popcount-sorted apart from the full set, which is
+        # minimal only when no other element is nonzero
         atoms: list[int] = []
         for e in self.elements:
-            if e == 0:
-                continue
-            if not any(a & e == a for a in atoms):
+            if e and e != self.full_mask and not any(a & e == a for a in atoms):
                 atoms.append(e)
-        return atoms
+        return atoms or [e for e in self.elements if e]
 
     def atomistic(self) -> bool:
         """Every nonzero element is the union of the atoms below it."""
@@ -290,30 +289,45 @@ class ConcreteLogic:
             )
         return self._disjoint_cache
 
-    # -- exports -----------------------------------------------------------
+    # -- atom steps and exports ---------------------------------------------
+
+    def _atom_steps(self) -> Iterator[tuple[int, int, int]]:
+        """(i, atom element, index of element i | atom), for each element i
+        and atom disjoint from it, in (i, upper) order.
+
+        Raises TheoremViolation unless every element has its complement, the
+        atoms are the minimal nonzero elements and every step lands in the
+        table.  These certify closure under disjoint union: e - a = (e' | a)'
+        strips the atoms of e one at a time, and steps add them to any p.
+        """
+        if None in self.complement_map:
+            missing = self.complement_map.index(None)
+            raise TheoremViolation(f"element {missing} has no complement in the table")
+        stray = set(self.atom_bits) ^ set(self._minimal_nonzero())
+        if stray:
+            i = min(map(self.index.get, stray))
+            raise TheoremViolation(f"element {i} is either an atom or minimal nonzero, not both")
+        for i, e in enumerate(self.elements):
+            steps = []
+            for a, k in zip(self.atom_bits, self.atom_indices):
+                if not e & a:
+                    upper = self.index.get(e | a)
+                    if upper is None:
+                        raise TheoremViolation(
+                            f"disjoint element {i} and atom {k} have no union in the table"
+                        )
+                    steps.append((upper, k))
+            for upper, k in sorted(steps):
+                yield i, k, upper
 
     def covers(self) -> list[tuple[int, int]]:
-        """Edges (i, j) of the Hasse diagram: j covers i.
+        """Edges (i, j) of the Hasse diagram, sorted: j covers i.
 
-        Apart from the full set, the table is sorted by popcount, so the
-        lowest-index strict superset left is minimal; taking it and
-        striking out everything above it yields the covers in turn.  The
-        full set covers exactly the elements with no other strict superset.
+        On a table closed under complement and disjoint union (else
+        TheoremViolation), q - p = (p | q')' is an element for p below q, so
+        q covers p exactly when q - p is an atom: the covers are the steps.
         """
-        top = self.index.get(self.full_mask)
-        top_bit = 0 if top is None else 1 << top
-        edges: list[tuple[int, int]] = []
-        for i, e in enumerate(self.elements):
-            rest = self.containing(e) & ~(1 << i)
-            if top_bit and rest == top_bit:
-                edges.append((i, top))
-            rest &= ~top_bit
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                edges.append((i, j))
-                rest &= ~self.containing(self.elements[j])
-        edges.sort()
-        return edges
+        return [(i, upper) for i, _, upper in self._atom_steps()]
 
 
 class Logic(ConcreteLogic):

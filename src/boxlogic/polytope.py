@@ -39,9 +39,6 @@ class HRep:
     def nvars(self) -> int:
         return len(self.variables)
 
-    def var_position(self, atom: AtomId) -> int:
-        return self.variables.index(atom)
-
 
 def ns_polytope(spec: BoxWorldSpec, *, var_cap: int = DEFAULT_VARIABLE_CAP) -> HRep:
     """H-description of all valid tables of a scenario.
@@ -147,12 +144,6 @@ class VertexSet:
 
     def count(self, cls: str) -> int:
         return sum(1 for c in self.classes if c == cls)
-
-    def to_dict_rows(self) -> list[dict]:
-        return [
-            {"class": cls, "coords": [str(v) for v in vert]}
-            for cls, vert in zip(self.classes, self.vertices)
-        ]
 
 
 def classify_vertex(coords: Sequence[Fraction]) -> str:

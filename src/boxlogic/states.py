@@ -443,40 +443,28 @@ def round_trip_rows(
     return RoundTrip(valid, states, failures)
 
 
-def _disjoint_union_targets(logic: ConcreteLogic) -> np.ndarray:
-    targets = getattr(logic, "_disjoint_union_cache", None)
-    if targets is None:
-        lefts, rights = logic.disjoint_pairs()
-        elements = logic.elements
-        index = logic.index
-        out = np.empty(len(lefts), dtype=np.int64)
-        for k, (i, j) in enumerate(zip(lefts.tolist(), rights.tolist())):
-            out[k] = index.get(elements[i] | elements[j], -1)
-        logic._disjoint_union_cache = out  # type: ignore[attr-defined]
-        targets = out
-    return targets
+def _atom_step_arrays(logic: ConcreteLogic) -> np.ndarray:
+    """The logic's atom steps as a 3 x S index array: lower, atom, upper."""
+    return np.array(list(logic._atom_steps()), dtype=np.intp).reshape(-1, 3).T
 
 
 def _first_additivity_failure(state: LogicState) -> Optional[tuple[int, int, int]]:
-    logic = state.logic
-    lefts, rights = logic.disjoint_pairs()
-    targets = _disjoint_union_targets(logic)
-    missing = np.nonzero(targets < 0)[0]
-    if missing.size:
-        k = int(missing[0])
-        raise TheoremViolation(
-            f"disjoint elements {int(lefts[k])}, {int(rights[k])} have no union in the table"
-        )
+    lower, atom, upper = _atom_step_arrays(state.logic)
     nums = state.numerators
-    bad = np.nonzero(nums[lefts] + nums[rights] != nums[targets])[0]
+    bad = np.flatnonzero(nums[lower] + nums[atom] != nums[upper])
     if not bad.size:
         return None
-    k = int(bad[0])
-    return int(lefts[k]), int(rights[k]), int(targets[k])
+    k = bad[0]
+    return int(lower[k]), int(atom[k]), int(upper[k])
 
 
 def verify_state_additivity(state: LogicState) -> bool:
-    """Explicit additivity scan over every disjoint pair of elements."""
+    """Additivity over disjoint unions, checked on the atom steps.
+
+    Needs a closed table (see ``ConcreteLogic.covers``).  Every element is
+    a disjoint union of atoms, so value(p | a) = value(p) + value(a) on the
+    steps chains to every disjoint pair.
+    """
     ok = _first_additivity_failure(state) is None
     if ok:
         state.additive_checked = True
@@ -646,11 +634,15 @@ def _certified_points(logic: ConcreteLogic, states: Sequence[LogicState]) -> int
 def verify_state_monotonicity(
     logic: ConcreteLogic, states: Sequence[LogicState]
 ) -> tuple[bool, int]:
-    """Every state respects the order: value(p) <= value(q) whenever p <= q."""
-    lows, highs = logic.comparable_pairs()
-    checked = 0
-    for s in states:
-        if np.any(s.numerators[lows] > s.numerators[highs]):
-            return False, checked
-        checked += len(lows)
-    return True, checked
+    """Every state respects the order: value(p) <= value(q) whenever p <= q.
+
+    Needs a closed table (see ``ConcreteLogic.covers``).  A finite order is
+    the transitive closure of its covers, so only cover edges are compared;
+    ``checked`` is states passed times comparable pairs.
+    """
+    lower, _, upper = _atom_step_arrays(logic)
+    pairs = len(logic.comparable_pairs()[0])
+    for k, s in enumerate(states):
+        if np.any(s.numerators[lower] > s.numerators[upper]):
+            return False, k * pairs
+    return True, len(states) * pairs

@@ -251,6 +251,27 @@ def naive_disjoint_pairs(elements) -> list:
     ]
 
 
+def naive_minimal_nonzero(elements) -> list:
+    """Nonzero elements with no nonzero element strictly inside them."""
+    return [
+        p for p in elements if p and not any(q and q != p and q & p == q for q in elements)
+    ]
+
+
+def naive_monotone(elements, values) -> bool:
+    """value(p) <= value(q) on every comparable pair p <= q."""
+    return all(values[i] <= values[j] for i, j in naive_comparable_pairs(elements))
+
+
+def naive_additive(elements, values) -> bool:
+    """value(p | q) == value(p) + value(q) on every disjoint pair p, q."""
+    index = {e: i for i, e in enumerate(elements)}
+    return all(
+        values[i] + values[j] == values[index[elements[i] | elements[j]]]
+        for i, j in naive_disjoint_pairs(elements)
+    )
+
+
 def naive_covers(elements) -> list:
     """Pairs p < q of the subset order with no element strictly between."""
     above = [

@@ -433,3 +433,58 @@ def test_kernel_matches_naive_scans(name):
     lefts, rights = logic.disjoint_pairs()
     assert list(zip(lefts.tolist(), rights.tolist())) == oracles.naive_disjoint_pairs(elements)
     assert logic.covers() == oracles.naive_covers(elements)
+
+
+# -- atoms and atom steps ---------------------------------------------------------
+
+
+def _table_case(name):
+    if name.startswith("even_set_"):
+        return bl.even_set_logic(int(name[-1]))
+    if name == "power_set_4":
+        return bl.ConcreteLogic(4, range(16))
+    side = {"chsh_left_box": Side.LEFT, "chsh_right_box": Side.RIGHT}[name]
+    return bl.single_box_logic(bl.build_gamma(CHSH), side)[0]
+
+
+TABLES = [
+    "even_set_1", "even_set_2", "even_set_3", "power_set_4", "chsh_left_box", "chsh_right_box"
+]
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_atoms_are_the_minimal_nonzero_elements(name):
+    logic = _table_case(name)
+    assert sorted(logic.atom_bits) == sorted(oracles.naive_minimal_nonzero(logic.elements))
+    if len(logic.elements) > 2:
+        full = logic.index_of(logic.full_mask)
+        assert not logic.is_atom(full)
+        assert len(logic.decomposition(full)) > 1
+
+
+def test_atom_counts():
+    assert [len(bl.even_set_logic(k).atom_bits) for k in (1, 2, 3)] == [1, 6, 15]
+    assert bl.ConcreteLogic(4, range(16)).atom_bits == (1, 2, 4, 8)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_covers_match_naive_covers(name):
+    logic = _table_case(name)
+    assert logic.covers() == oracles.naive_covers(logic.elements)
+
+
+@pytest.mark.parametrize(
+    "ground, elements, atom_bits, message",
+    [
+        # 0111 is dropped, so 1000 (index 5) has no complement
+        (4, [e for e in range(16) if e != 0b0111], None, "element 5 has no complement"),
+        # complement-closed, but 0001 (index 2) | 1100 (index 4) is missing
+        (4, [0, 0b0001, 0b1110, 0b0011, 0b1100, 0b1111], None, "element 2 and atom 4 have no"),
+        # the atom given, the full set (index 1), is not minimal
+        (2, range(4), [0b11], "element 1 is either an atom or minimal nonzero"),
+    ],
+)
+def test_covers_refuse_a_table_that_is_not_closed(ground, elements, atom_bits, message):
+    logic = bl.ConcreteLogic(ground, elements, atom_bits=atom_bits)
+    with pytest.raises(bl.TheoremViolation, match=message):
+        logic.covers()

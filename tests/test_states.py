@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -212,8 +213,14 @@ def test_non_additive_state_rejected(chsh_logic):
     nums[atom] *= 2
     broken = bl.LogicState(chsh_logic, rho.denominator, nums)
     assert not bl.verify_state_additivity(broken)
-    with pytest.raises(bl.StateError):
+    with pytest.raises(bl.StateError, match="not additive") as err:
         bl.pr_from_state(broken)
+    # the triple the error names is disjoint, and its values really fail to add
+    named = re.search(r"elements (\d+) and (\d+) are disjoint with union (\d+)", str(err.value))
+    i, j, u = map(int, named.groups())
+    elements = chsh_logic.elements
+    assert elements[i] & elements[j] == 0 and elements[i] | elements[j] == elements[u]
+    assert broken.value(i) + broken.value(j) != broken.value(u)
 
 
 # -- object dtype, taken when denominators pass the int64 bound -------------------
@@ -544,3 +551,44 @@ def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex
     del fast_dict["strategy"], scan_dict["strategy"]
     assert fast_dict == scan_dict
     assert fast.ok == (case == "nonlocal_vertices")
+
+
+# -- monotonicity and additivity against all-pairs scans ------------------------------
+
+
+def _states_and_nudged(logic, states, seed):
+    """The states, each followed by a copy with one element's value moved by 1/den."""
+    rng = random.Random(seed)
+    out = []
+    for s in states:
+        nums = [int(v) for v in s.numerators]
+        nums[rng.randrange(1, len(nums))] += rng.choice((-1, 1))
+        out += [s, bl.LogicState(logic, s.denominator, nums)]
+    return out
+
+
+@pytest.mark.parametrize("case", ["chsh_vertices", "three_input_sample", "past_int64"])
+def test_monotonicity_and_additivity_match_all_pairs(request, case):
+    if case == "chsh_vertices":
+        logic = request.getfixturevalue("chsh_logic")
+        vertices = request.getfixturevalue("chsh_vertex_states")
+        states = [bl.state_from_pr(logic, pr) for pr in vertices]
+    elif case == "three_input_sample":
+        logic = request.getfixturevalue("three_input_logic")
+        states, _ = request.getfixturevalue("three_input_vertex_states")
+        states = random.Random(5).sample(states, 12)
+    else:
+        logic = request.getfixturevalue("chsh_logic")
+        rho = bl.state_from_pr(logic, past_int64_mixture(CHSH))
+        nums = [int(v) for v in rho.numerators]
+        nums[logic.index_of(logic.full_mask)] = 0
+        states = [rho, bl.LogicState(logic, rho.denominator, nums)]
+        assert {s.numerators.dtype for s in states} == {np.dtype(object)}
+    monotone = []
+    for s in _states_and_nudged(logic, states, seed=3):
+        values = [int(v) for v in s.numerators]
+        assert bl.verify_state_additivity(s) == oracles.naive_additive(logic.elements, values)
+        ok, _ = bl.verify_state_monotonicity(logic, [s])
+        assert ok == oracles.naive_monotone(logic.elements, values)
+        monotone.append(ok)
+    assert False in monotone
