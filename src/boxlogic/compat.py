@@ -11,11 +11,12 @@ Boolean blocks glued at bottom and top.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, TheoremViolation
-from .logic import CheckResult, ConcreteLogic, Logic, is_lattice, verify_axioms
+from .logic import CheckResult, ConcreteLogic, Logic, _first_failure, is_lattice, verify_axioms
 from .scenario import GammaIndex, Side
 
 DEFAULT_SET_BOUND = 12
@@ -219,16 +220,7 @@ class PastingReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "element_count": self.element_count,
-            "expected_count": self.expected_count,
-            "block_sizes": self.block_sizes,
-            "block_tables": self.block_tables,
-            "flags": dict(sorted(self.flags.items())),
-            "failures": self.failures,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def localized_bits(gamma: GammaIndex, side: Side, input_index: int, outcomes: Iterable[int]) -> int:
@@ -424,14 +416,7 @@ class LocalizedReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "cross_side": self.cross_side.to_dict(),
-            "same_side": self.same_side.to_dict(),
-            "families": self.families.to_dict(),
-            "meet_join_table": self.meet_join_table.to_dict(),
-            "distributivity_certificate": self.distributivity_certificate,
-            "all_passed": self.all_passed,
-        }
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
 def verify_localized_propositions(
@@ -442,138 +427,92 @@ def verify_localized_propositions(
     Cross-side pairs must be compatible with the explicit rectangle
     witness; same-side pairs must be compatible exactly when they share
     the input; pairwise-compatible one-box families must admit the
-    constructive generating family.
+    constructive generating family.  Each check stops at its first
+    counterexample.  The distributivity certificate comes from the first
+    incompatible same-side pair the scan passes that yields one.
     """
     gamma = logic.gamma
-    left = enumerate_localized(logic, Side.LEFT)
-    right = enumerate_localized(logic, Side.RIGHT)
+    props = {side: enumerate_localized(logic, side) for side in Side}
 
-    cross_checked, cross_fail = 0, None
-    for (a, P, ip) in left:
-        for (b, Q, iq) in right:
-            cross_checked += 1
+    def cross_side() -> Iterator[Optional[dict]]:
+        for (a, P, ip), (b, Q, iq) in itertools.product(props[Side.LEFT], props[Side.RIGHT]):
+            where = {"left": [a, list(P)], "right": [b, list(Q)]}
             w = are_compatible(logic, ip, iq)
             if w is None:
-                cross_fail = {"left": [a, list(P)], "right": [b, list(Q)]}
-                break
+                yield where
+                return
             # explicit rectangle split of the two propositions
-            pbits, qbits = logic.elements[ip], logic.elements[iq]
-            shared = pbits & qbits
-            if (
-                logic.elements[w.shared] != shared
-                or logic.elements[w.only_first] != pbits & ~shared
-                or logic.elements[w.only_second] != qbits & ~shared
-            ):
-                cross_fail = {"left": [a, list(P)], "right": [b, list(Q)], "kind": "witness"}
-                break
-        if cross_fail:
-            break
-    cross = CheckResult(cross_fail is None, cross_checked, cross_fail)
+            p, q = logic.elements[ip], logic.elements[iq]
+            split = tuple(logic.elements[k] for k in (w.shared, w.only_first, w.only_second))
+            yield None if split == (p & q, p & ~q, q & ~p) else {**where, "kind": "witness"}
 
-    same_checked, same_fail = 0, None
+    def same_side_pairs():
+        for side in Side:
+            for first, second in itertools.product(props[side], repeat=2):
+                where = {
+                    "side": side.value,
+                    "first": [first[0], list(first[1])],
+                    "second": [second[0], list(second[1])],
+                }
+                yield side, first, second, where
+
     certificate = None
-    for side, items in ((Side.LEFT, left), (Side.RIGHT, right)):
-        for (a1, P, i1) in items:
-            for (a2, Q, i2) in items:
-                same_checked += 1
-                compatible = are_compatible(logic, i1, i2) is not None
-                if compatible != (a1 == a2):
-                    same_fail = {
-                        "side": side.value,
-                        "first": [a1, list(P)],
-                        "second": [a2, list(Q)],
-                        "compatible": compatible,
-                    }
-                    break
-                if not compatible and certificate is None:
-                    certificate = _distributivity_certificate(logic, i1, i2)
-            if same_fail:
-                break
-        if same_fail:
-            break
-    same = CheckResult(same_fail is None, same_checked, same_fail)
 
-    fam_checked, fam_fail = 0, None
-    by_input_left: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for (a, P, ip) in left:
-        by_input_left.setdefault(a, []).append((P, ip))
-    by_input_right: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for (b, Q, iq) in right:
-        by_input_right.setdefault(b, []).append((Q, iq))
-    for a, lefts_a in sorted(by_input_left.items()):
-        for b, rights_b in sorted(by_input_right.items()):
-            for k in range(0, family_bound + 1):
-                for l in range(0, family_bound + 1):
-                    if k + l < 2:
-                        continue
-                    for lchoice in itertools.combinations(lefts_a, k):
-                        for rchoice in itertools.combinations(rights_b, l):
-                            fam_checked += 1
-                            indices = [ip for _, ip in lchoice] + [
-                                iq for _, iq in rchoice
-                            ]
-                            family = is_compatible_set(logic, indices)
-                            built = localized_family_partition(
-                                logic,
-                                a,
-                                [list(P) for P, _ in lchoice],
-                                b,
-                                [list(Q) for Q, _ in rchoice],
-                            )
-                            if (
-                                family is None
-                                or not verify_generating_family(logic, indices, family)
-                                or built is None
-                                or not built[1]
-                            ):
-                                fam_fail = {
-                                    "a": a,
-                                    "b": b,
-                                    "left": [list(P) for P, _ in lchoice],
-                                    "right": [list(Q) for Q, _ in rchoice],
-                                }
-                                break
-                        if fam_fail:
-                            break
-                    if fam_fail:
-                        break
-                if fam_fail:
-                    break
-            if fam_fail:
-                break
-        if fam_fail:
-            break
-    families = CheckResult(fam_fail is None, fam_checked, fam_fail)
+    def same_side() -> Iterator[Optional[dict]]:
+        nonlocal certificate
+        for _, (a1, _, i1), (a2, _, i2), where in same_side_pairs():
+            compatible = are_compatible(logic, i1, i2) is not None
+            if compatible != (a1 == a2):
+                yield {**where, "compatible": compatible}
+                return
+            if not compatible and certificate is None:
+                certificate = _distributivity_certificate(logic, i1, i2)
+            yield None
 
-    mj_checked, mj_fail = 0, None
-    for side, items in ((Side.LEFT, left), (Side.RIGHT, right)):
-        for (a1, P, i1) in items:
-            for (a2, Q, i2) in items:
-                mj_checked += 1
-                m, j = logic.meet(i1, i2), logic.join(i1, i2)
-                if a1 != a2:
-                    want_m, want_j = logic.index_of(0), logic.index_of(logic.full_mask)
-                else:
-                    inter = tuple(sorted(set(P) & set(Q)))
-                    union = tuple(sorted(set(P) | set(Q)))
-                    want_m = logic.index_of(
-                        localized_bits(gamma, side, a1, inter) if inter else 0
+    def families() -> Iterator[Optional[dict]]:
+        by_input = {
+            side: [(a, list(items)) for a, items in itertools.groupby(props[side], key=itemgetter(0))]
+            for side in Side
+        }
+        for (a, lefts), (b, rights) in itertools.product(*by_input.values()):
+            for k, l in itertools.product(range(family_bound + 1), repeat=2):
+                if k + l < 2:
+                    continue
+                for lchoice, rchoice in itertools.product(
+                    itertools.combinations(lefts, k), itertools.combinations(rights, l)
+                ):
+                    left_sets = [list(P) for _, P, _ in lchoice]
+                    right_sets = [list(Q) for _, Q, _ in rchoice]
+                    indices = [i for _, _, i in lchoice + rchoice]
+                    family = is_compatible_set(logic, indices)
+                    built = localized_family_partition(logic, a, left_sets, b, right_sets)
+                    ok = (
+                        family is not None
+                        and verify_generating_family(logic, indices, family)
+                        and built is not None
+                        and built[1]
                     )
-                    want_j = logic.index_of(localized_bits(gamma, side, a1, union))
-                if m != want_m or j != want_j:
-                    mj_fail = {
-                        "side": side.value,
-                        "first": [a1, list(P)],
-                        "second": [a2, list(Q)],
-                    }
-                    break
-            if mj_fail:
-                break
-        if mj_fail:
-            break
-    meet_join = CheckResult(mj_fail is None, mj_checked, mj_fail)
+                    yield None if ok else {"a": a, "b": b, "left": left_sets, "right": right_sets}
 
-    return LocalizedReport(cross, same, families, meet_join, certificate)
+    def meet_join_table() -> Iterator[Optional[dict]]:
+        for side, (a1, P, i1), (a2, Q, i2), where in same_side_pairs():
+            if a1 != a2:
+                want = (logic.index_of(0), logic.index_of(logic.full_mask))
+            else:
+                want = tuple(
+                    logic.index_of(localized_bits(gamma, side, a1, outcomes))
+                    for outcomes in (set(P) & set(Q), set(P) | set(Q))
+                )
+            yield None if (logic.meet(i1, i2), logic.join(i1, i2)) == want else where
+
+    same = _first_failure(same_side())  # fills in the certificate
+    return LocalizedReport(
+        _first_failure(cross_side()),
+        same,
+        _first_failure(families()),
+        _first_failure(meet_join_table()),
+        certificate,
+    )
 
 
 def _distributivity_certificate(logic: ConcreteLogic, i1: int, i2: int) -> Optional[dict]:

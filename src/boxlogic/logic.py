@@ -18,7 +18,7 @@ steps p -> p | a instead, one per atom a disjoint from p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -494,18 +494,28 @@ def classify_above_atom(logic: Logic, atom_index: int, elem_index: int) -> Order
 
 @dataclass
 class CheckResult:
+    """One report entry: ``checked`` counts the cases examined up to and
+    including the first counterexample; ``counterexample`` is None when the
+    check passes."""
+
     passed: bool
     checked: int
     counterexample: Optional[dict] = None
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": self.checked,
-            "counterexample": self.counterexample,
-            "note": self.note,
-        }
+        return asdict(self)
+
+
+def _first_failure(cases: Iterable[Optional[dict]], note: str = "") -> CheckResult:
+    """Walk the cases, each None when it holds or else its counterexample,
+    and stop at the first counterexample; ``checked`` counts the cases
+    looked at, the failing one included."""
+    checked = 0
+    for checked, counterexample in enumerate(cases, 1):
+        if counterexample is not None:
+            return CheckResult(False, checked, counterexample, note)
+    return CheckResult(True, checked, None, note)
 
 
 @dataclass
@@ -524,138 +534,112 @@ def verify_axioms(logic: ConcreteLogic) -> AxiomReport:
     """Exhaustively check the order, complement and closure axioms.
 
     Failures are report entries, never exceptions, so damaged tables can
-    be inspected.  For disjoint families only pairs are checked: in a
-    finite table closed under pairwise disjoint unions, chaining unions
-    two at a time realizes every finite disjoint family, and the report
-    records this reduction.
+    be inspected.  Each entry scans its cases up to the first
+    counterexample: ``checked`` counts the cases examined, that one
+    included, and ``counterexample`` is None when the check passes.  L1,
+    C2 and L3 read the whole table and report its size.  For disjoint
+    families only pairs are checked: in a finite table closed under
+    pairwise disjoint unions, chaining unions two at a time realizes
+    every finite disjoint family, and the report records this reduction.
     """
-    report = AxiomReport()
     elements = logic.elements
     index = logic.index
-    full = logic.full_mask
+    comp = logic.complement_map
     n = len(elements)
 
-    # C1: the empty set belongs to the family.
-    report.results["C1"] = CheckResult(0 in index, 1)
+    def whole_table(bad: list[int]) -> CheckResult:
+        return CheckResult(not bad, n, {"element": bad[0]} if bad else None)
 
-    # L1: least and greatest elements exist and bound everything.
-    bounds_ok = 0 in index and full in index
-    counterexample = None
-    if bounds_ok:
-        for i, e in enumerate(elements):
-            if e & full != e:
-                bounds_ok = False
-                counterexample = {"element": i}
-                break
-    report.results["L1"] = CheckResult(bounds_ok, n, counterexample)
+    def order_reversal() -> Iterator[Optional[dict]]:
+        for i, j in zip(lows, highs):
+            ci, cj = comp[i], comp[j]
+            if ci is None or cj is None:
+                yield {"pair": [i, j], "reason": "no complement"}
+            else:
+                yield None if elements[cj] & elements[ci] == elements[cj] else {"pair": [i, j]}
 
-    # C2: complements stay in the family.
-    missing = [i for i, c in enumerate(logic.complement_map) if c is None]
-    report.results["C2"] = CheckResult(
-        not missing,
-        n,
-        {"element": missing[0]} if missing else None,
-    )
-
-    # L3: the complement map is an involution.
-    l3_ok, counterexample = True, None
-    for i, c in enumerate(logic.complement_map):
-        if c is None or logic.complement_map[c] != i:
-            l3_ok, counterexample = False, {"element": i}
-            break
-    report.results["L3"] = CheckResult(l3_ok, n, counterexample)
-
-    comparable = logic.comparable_pairs()
-    lows, highs = (arr.tolist() for arr in comparable)
-
-    # L2: complement reverses the order.
-    l2_ok, counterexample, checked = True, None, 0
-    comp = logic.complement_map
-    for i, j in zip(lows, highs):
-        checked += 1
-        ci, cj = comp[i], comp[j]
-        if ci is None or cj is None:
-            l2_ok, counterexample = False, {"pair": [i, j], "reason": "no complement"}
-            break
-        if elements[cj] & elements[ci] != elements[cj]:
-            l2_ok, counterexample = False, {"pair": [i, j]}
-            break
-    report.results["L2"] = CheckResult(l2_ok, checked, counterexample)
-
-    # L5: below any superset, the set difference is available, which makes
-    # q = p v (q ^ p') an identity of set algebra: the difference d is in
-    # the table, every lower bound of {q, p'} is a subset of d, and every
-    # upper bound of {p, d} contains p|d = q.
-    l5_ok, counterexample, checked = True, None, 0
-    for i, j in zip(lows, highs):
-        checked += 1
-        if (elements[j] & ~elements[i]) not in index:
-            l5_ok, counterexample = False, {"pair": [i, j]}
-            break
-    report.results["L5"] = CheckResult(l5_ok, checked, counterexample)
-
-    # C3 and L4 on pairs: disjoint unions exist, hence disjoint joins do.
-    disj = logic.disjoint_pairs()
-    c3_ok, counterexample, checked = True, None, 0
-    for i, j in zip(disj[0].tolist(), disj[1].tolist()):
-        checked += 1
-        if (elements[i] | elements[j]) not in index:
-            c3_ok, counterexample = False, {"pair": [i, j]}
-            break
+    lows, highs = (arr.tolist() for arr in logic.comparable_pairs())
+    disjoint = zip(*(arr.tolist() for arr in logic.disjoint_pairs()))
     chain_note = "pairwise unions; chaining covers larger disjoint families"
-    report.results["C3"] = CheckResult(c3_ok, checked, counterexample, chain_note)
-    report.results["L4"] = CheckResult(
-        c3_ok,
-        checked,
-        counterexample,
-        "disjoint unions found in the table are the least upper bounds; " + chain_note,
+    # C3 on pairs: disjoint unions exist, hence (L4) disjoint joins do.
+    c3 = _first_failure(
+        (
+            None if (elements[i] | elements[j]) in index else {"pair": [i, j]}
+            for i, j in disjoint
+        ),
+        chain_note,
     )
-    return report
+    results = {
+        # C1: the empty set belongs to the family.
+        "C1": CheckResult(0 in index, 1),
+        # L1: least and greatest elements exist; the constructor keeps every
+        # element inside the ground set, so they bound everything.
+        "L1": CheckResult(0 in index and logic.full_mask in index, n),
+        # C2: complements stay in the family.
+        "C2": whole_table([i for i, c in enumerate(comp) if c is None]),
+        # L3: the complement map is an involution.
+        "L3": whole_table([i for i, c in enumerate(comp) if c is None or comp[c] != i]),
+        # L2: complement reverses the order.
+        "L2": _first_failure(order_reversal()),
+        # L5: below any superset, the set difference is available, which
+        # makes q = p v (q ^ p') an identity of set algebra: the difference
+        # d is in the table, every lower bound of {q, p'} is a subset of d,
+        # and every upper bound of {p, d} contains p|d = q.
+        "L5": _first_failure(
+            None if (elements[j] & ~elements[i]) in index else {"pair": [i, j]}
+            for i, j in zip(lows, highs)
+        ),
+        "C3": c3,
+        "L4": replace(
+            c3,
+            note="disjoint unions found in the table are the least upper bounds; " + chain_note,
+        ),
+    }
+    return AxiomReport(results)
 
 
 def verify_atomic_coverage(logic: ConcreteLogic) -> CheckResult:
     """Every nonzero element is a disjoint union of atoms, reproduced exactly."""
-    checked = 0
-    for i, e in enumerate(logic.elements):
-        if e == 0:
-            continue
-        checked += 1
+
+    def failure(i: int, e: int) -> Optional[str]:
         dec = logic.decomposition(i)
         if dec is None:
-            return CheckResult(False, checked, {"element": i, "reason": "no partition"})
+            return "no partition"
         union = 0
         for pos in dec:
             a = logic.atom_bits[pos]
             if union & a:
-                return CheckResult(False, checked, {"element": i, "reason": "overlap"})
+                return "overlap"
             union |= a
-        if union != e:
-            return CheckResult(False, checked, {"element": i, "reason": "union mismatch"})
-    return CheckResult(True, checked)
+        return None if union == e else "union mismatch"
+
+    return _first_failure(
+        None if (reason := failure(i, e)) is None else {"element": i, "reason": reason}
+        for i, e in enumerate(logic.elements)
+        if e
+    )
 
 
 def verify_order_classification(logic: Logic) -> tuple[CheckResult, dict[str, int]]:
     """Classify every (atom, superset) pair and verify the witnesses."""
     counts = {kind.value: 0 for kind in OrderKind}
-    checked = 0
-    for atom_index in logic.atom_indices:
-        for j in _bit_indices(logic.containing(logic.elements[atom_index])):
-            checked += 1
-            try:
-                cls = classify_above_atom(logic, atom_index, j)
-            except TheoremViolation as exc:
-                return (
-                    CheckResult(False, checked, {"atom": atom_index, "element": j, "reason": str(exc)}),
-                    counts,
-                )
-            rest = logic.elements[cls.remainder_index]
-            if cls.base_bits & rest or cls.reconstruct(logic) != logic.elements[j]:
-                return (
-                    CheckResult(False, checked, {"atom": atom_index, "element": j, "reason": "bad witness"}),
-                    counts,
-                )
-            counts[cls.kind.value] += 1
-    return CheckResult(True, checked), counts
+
+    def cases() -> Iterator[Optional[dict]]:
+        for atom_index in logic.atom_indices:
+            for j in _bit_indices(logic.containing(logic.elements[atom_index])):
+                try:
+                    cls = classify_above_atom(logic, atom_index, j)
+                except TheoremViolation as exc:
+                    yield {"atom": atom_index, "element": j, "reason": str(exc)}
+                    return
+                rest = logic.elements[cls.remainder_index]
+                if cls.base_bits & rest or cls.reconstruct(logic) != logic.elements[j]:
+                    yield {"atom": atom_index, "element": j, "reason": "bad witness"}
+                    return
+                counts[cls.kind.value] += 1
+                yield None
+
+    return _first_failure(cases()), counts
 
 
 def disjoint_atom_union_report(logic: ConcreteLogic) -> dict:

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .errors import BoxLogicError, VariableCapExceeded
 from .linalg import IndependentRows, gcd_reduce, integerize, rank, rref, solve_affine
+from .logic import _bit_indices
 from .scenario import AtomId, BoxWorldSpec, all_atom_ids
 
 DEFAULT_VARIABLE_CAP = 200
@@ -150,20 +151,16 @@ def classify_vertex(coords: Sequence[Fraction]) -> str:
     return "deterministic" if all(v in (0, 1) for v in coords) else "nondeterministic"
 
 
-def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> VertexSet:
+def enumerate_vertices(hrep: HRep) -> VertexSet:
     """All extreme points of the polytope, exactly.
 
-    ``adjacency`` selects how candidate ray pairs are certified during
-    the double description sweep: "combinatorial" (no third ray's active
-    set contains the common active set) or "algebraic" (the common active
-    constraints have rank dim-2).  Both are exact for pointed cones; the
-    combinatorial test is the fast default.
-
-    The combinatorial test reads a column bitmap built at each constraint
-    step: per constraint, one integer mask over the positions of the
-    current rays it is active on.  The AND of the columns of a pair's
-    common active set marks every ray whose active set contains it; the
-    pair is adjacent when only its own two bits remain.
+    Two rays of the double description sweep are adjacent when no third
+    ray's active set contains their common active set, a test that is
+    exact for pointed cones.  It reads a column bitmap built at each
+    constraint step: per constraint, one integer mask over the positions
+    of the current rays it is active on.  The AND of the columns of a
+    pair's common active set marks every ray whose active set contains
+    it; the pair is adjacent when only its own two bits remain.
 
     Vertices are read back over one denominator: with x0 scaled to
     integers over d0, ray (s, r) gives x = (s*x0 + d0*basis^T r) / (s*d0).
@@ -171,8 +168,6 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
     denominators; sorting and deduplicating those integer rows gives the
     order and the set of the ``Fraction`` tuples.
     """
-    if adjacency not in ("combinatorial", "algebraic"):
-        raise ValueError(f"unknown adjacency test {adjacency!r}")
     x0, basis_frac = solve_affine(hrep.eq_coeffs, hrep.eq_rhs)
     basis: list[list[int]] = [integerize(vec)[0] for vec in basis_frac]
     dim = len(basis)
@@ -219,32 +214,26 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
         for r in zero:
             active[r] |= 1 << ci
         if neg:
-            if adjacency == "combinatorial":
-                # column bitmap: for each constraint, the rays it is active on
-                columns = [0] * len(cons)
-                for k, r in enumerate(rays):
-                    for j in _mask_bits(active[r]):
-                        columns[j] |= 1 << k
-                ray_bit = {r: 1 << k for k, r in enumerate(rays)}
+            # column bitmap: for each constraint, the rays it is active on
+            columns = [0] * len(cons)
+            for k, r in enumerate(rays):
+                for j in _bit_indices(active[r]):
+                    columns[j] |= 1 << k
+            ray_bit = {r: 1 << k for k, r in enumerate(rays)}
             fresh: list[tuple[int, ...]] = []
             for rp in pos:
                 for rn in neg:
                     common = active[rp] & active[rn]
                     if common.bit_count() < cone_dim - 2:
                         continue
-                    if adjacency == "combinatorial":
-                        pair = ray_bit[rp] | ray_bit[rn]
-                        holders = -1
-                        for j in _mask_bits(common):
-                            holders &= columns[j]
-                            if holders == pair:
-                                break
-                        if holders != pair:
-                            continue
-                    else:
-                        rows = [cons[j] for j in _mask_bits(common)]
-                        if rank([list(map(Fraction, r)) for r in rows]) != cone_dim - 2:
-                            continue
+                    pair = ray_bit[rp] | ray_bit[rn]
+                    holders = -1
+                    for j in _bit_indices(common):
+                        holders &= columns[j]
+                        if holders == pair:
+                            break
+                    if holders != pair:
+                        continue
                     new = gcd_reduce(
                         tuple(
                             dots[rp] * bn - dots[rn] * bp for bp, bn in zip(rp, rn)
@@ -278,13 +267,6 @@ def enumerate_vertices(hrep: HRep, *, adjacency: str = "combinatorial") -> Verte
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _invert_columns(rows: list[tuple[int, ...]]) -> list[list[int]]:

@@ -46,7 +46,7 @@ def default_caps() -> dict:
     }
 
 
-def _header(spec: BoxWorldSpec, caps: dict, seed: Optional[int]) -> dict:
+def _header(spec: BoxWorldSpec, caps: dict, seed: Optional[int], logic: Logic) -> dict:
     return {
         "tool": {"name": "boxlogic", "version": __version__},
         "scenario": {
@@ -56,21 +56,20 @@ def _header(spec: BoxWorldSpec, caps: dict, seed: Optional[int]) -> dict:
         },
         "caps": dict(sorted(caps.items())),
         "seed": seed,
+        "logic": {
+            "element_count": len(logic.elements),
+            "atom_count": len(logic.atom_indices),
+            "sample_points": logic.ground_size,
+            "is_lattice": is_lattice(logic),
+            "is_boolean": is_boolean(logic),
+        },
     }
 
 
 def build_summary(spec: BoxWorldSpec, *, caps: Optional[dict] = None) -> tuple[dict, Logic]:
     caps = {**default_caps(), **(caps or {})}
     logic = close_logic(spec, closure_cap=caps["closure"], gamma_cap=caps["gamma"])
-    summary = _header(spec, caps, None)
-    summary["logic"] = {
-        "element_count": len(logic.elements),
-        "atom_count": len(logic.atom_indices),
-        "sample_points": logic.ground_size,
-        "is_lattice": is_lattice(logic),
-        "is_boolean": is_boolean(logic),
-    }
-    return summary, logic
+    return _header(spec, caps, None, logic), logic
 
 
 def verify_scenario(
@@ -93,15 +92,7 @@ def verify_scenario(
     if logic is None:
         logic = close_logic(spec, closure_cap=caps["closure"], gamma_cap=caps["gamma"])
 
-    report = _header(spec, caps, seed)
-    report["logic"] = {
-        "element_count": len(logic.elements),
-        "atom_count": len(logic.atom_indices),
-        "sample_points": logic.ground_size,
-        "is_lattice": is_lattice(logic),
-        "is_boolean": is_boolean(logic),
-    }
-
+    report = _header(spec, caps, seed, logic)
     axioms = verify_axioms(logic)
     report["axioms"] = axioms.to_dict()
 

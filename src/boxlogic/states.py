@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -565,14 +565,7 @@ class OrderDeterminingReport:
     strategy: str
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "states_used": self.states_used,
-            "comparable_pairs_skipped": self.comparable_pairs_skipped,
-            "noncomparable_pairs": self.noncomparable_pairs,
-            "failures": self.failures,
-            "strategy": self.strategy,
-        }
+        return asdict(self)
 
 
 def check_order_determining(

@@ -369,3 +369,210 @@ def state_oracle(logic, partitions, pr) -> dict:
         "numerators": numerators,
         "mismatch": mismatch,
     }
+
+
+# -- structural checks, first counterexample --------------------------------------
+# Plain loops that judge every case of a check up front; the entry reports the
+# first failing case.  ``checked`` counts the cases up to and including it, or
+# all of them when none fails.  L1, C2 and L3 read the whole table and report
+# its size.
+
+
+def first_counterexample(verdicts, note="") -> tuple:
+    """(passed, checked, counterexample, note) of per-case verdicts, None where a case holds."""
+    bad = [k for k, v in enumerate(verdicts) if v is not None]
+    if not bad:
+        return True, len(verdicts), None, note
+    return False, bad[0] + 1, verdicts[bad[0]], note
+
+
+def naive_axiom_entries(logic) -> dict:
+    """Every entry of ``verify_axioms`` as (passed, checked, counterexample, note)."""
+    elements = list(logic.elements)
+    n = len(elements)
+    full = (1 << logic.ground_size) - 1
+    index = {e: i for i, e in enumerate(elements)}
+    comp = [index.get(e ^ full) for e in elements]
+
+    def whole_table(bad):
+        return (not bad, n, {"element": bad[0]} if bad else None, "")
+
+    def reverses(i, j):
+        if comp[i] is None or comp[j] is None:
+            return {"pair": [i, j], "reason": "no complement"}
+        return None if elements[comp[j]] & elements[comp[i]] == elements[comp[j]] else {"pair": [i, j]}
+
+    comparable = naive_comparable_pairs(elements)
+    unions = [
+        None if (elements[i] | elements[j]) in index else {"pair": [i, j]}
+        for i, j in naive_disjoint_pairs(elements)
+    ]
+    chain = "pairwise unions; chaining covers larger disjoint families"
+    return {
+        "C1": (0 in index, 1, None, ""),
+        "L1": (0 in index and full in index, n, None, ""),
+        "C2": whole_table([i for i, c in enumerate(comp) if c is None]),
+        "L3": whole_table([i for i, c in enumerate(comp) if c is None or comp[c] != i]),
+        "L2": first_counterexample([reverses(i, j) for i, j in comparable]),
+        "L5": first_counterexample(
+            [None if (elements[j] & ~elements[i]) in index else {"pair": [i, j]} for i, j in comparable]
+        ),
+        "C3": first_counterexample(unions, chain),
+        "L4": first_counterexample(
+            unions, "disjoint unions found in the table are the least upper bounds; " + chain
+        ),
+    }
+
+
+def naive_atomic_coverage(logic) -> tuple:
+    """``verify_atomic_coverage``: every nonzero element splits into atoms."""
+    return first_counterexample(
+        [
+            None if atom_partitions(e, logic.atom_bits) else {"element": i, "reason": "no partition"}
+            for i, e in enumerate(logic.elements)
+            if e
+        ]
+    )
+
+
+def naive_order_classification(logic) -> tuple:
+    """``verify_order_classification``: the entry and the case counts before any failure.
+
+    An element q above atom (a, alpha, b, beta) is the full set, else contains
+    the left piece "input a gave alpha", else the right piece, else only the
+    atom; the rest of q outside that piece has to be in the table.
+    """
+    elements = logic.elements
+    index = {e: i for i, e in enumerate(elements)}
+    full = (1 << logic.ground_size) - 1
+    verdicts, kinds = [], []
+    for aid, k in zip(logic.atom_ids, logic.atom_indices):
+        atom = elements[k]
+        left = logic.gamma.outcome_mask(bl.Side.LEFT, aid.a, aid.alpha)
+        right = logic.gamma.outcome_mask(bl.Side.RIGHT, aid.b, aid.beta)
+        for j, q in enumerate(elements):
+            if atom & q != atom:
+                continue
+            if q == full:
+                kind, base = "top", full
+            elif left & q == left:
+                kind, base = "left_localized", left
+            elif right & q == right:
+                kind, base = "right_localized", right
+            else:
+                kind, base = "atom_plus_rest", atom
+            kinds.append(kind)
+            verdicts.append(
+                None
+                if (q & ~base) in index
+                else {
+                    "atom": k,
+                    "element": j,
+                    "reason": "remainder of an order classification is missing from the logic",
+                }
+            )
+    entry = first_counterexample(verdicts)
+    counts = {kind: 0 for kind in ("atom_plus_rest", "left_localized", "right_localized", "top")}
+    for kind, verdict in zip(kinds, verdicts):
+        if verdict is not None:
+            break
+        counts[kind] += 1
+    return entry, counts
+
+
+def naive_localized_entries(logic, family_bound: int = 2) -> dict:
+    """The four checks of ``verify_localized_propositions``, plus under
+    "incompatible_pairs" the same-side incompatible pairs that the same-side
+    scan passes before its first failure, in scan order.
+
+    A family of one-box propositions on left input a and right input b passes
+    when every nonempty overlap region is in the table: group the outcome
+    pairs (alpha, beta) by which chosen propositions contain them.
+    """
+    gamma, spec = logic.gamma, logic.spec
+    elements = logic.elements
+    index = {e: i for i, e in enumerate(elements)}
+    full = (1 << logic.ground_size) - 1
+    sides = (bl.Side.LEFT, bl.Side.RIGHT)
+
+    def one_box_bits(side, a, outcomes):
+        bits = 0
+        for o in outcomes:
+            bits |= gamma.outcome_mask(side, a, o)
+        return bits
+
+    props = {side: [] for side in sides}
+    for side in sides:
+        for a, size in enumerate(spec.sizes(side)):
+            for r in range(1, (1 << size) - 1):
+                outcomes = [o for o in range(size) if r >> o & 1]
+                props[side].append((a, outcomes, index[one_box_bits(side, a, outcomes)]))
+
+    def compatible(i, j):
+        p, q = elements[i], elements[j]
+        return all(bits in index for bits in (p & q, p & ~q, q & ~p))
+
+    cross = [
+        None if compatible(ip, iq) else {"left": [a, P], "right": [b, Q]}
+        for a, P, ip in props[bl.Side.LEFT]
+        for b, Q, iq in props[bl.Side.RIGHT]
+    ]
+
+    same, meet_join, incompatible = [], [], []
+    for side in sides:
+        for a1, P, i1 in props[side]:
+            for a2, Q, i2 in props[side]:
+                where = {"side": side.value, "first": [a1, P], "second": [a2, Q]}
+                c = compatible(i1, i2)
+                same.append(None if c == (a1 == a2) else {**where, "compatible": c})
+                incompatible.append(None if c else (i1, i2))
+                if a1 != a2:
+                    want = (index[0], index[full])
+                else:
+                    want = (
+                        index[one_box_bits(side, a1, set(P) & set(Q))],
+                        index[one_box_bits(side, a1, set(P) | set(Q))],
+                    )
+                got = (brute_meet(logic, i1, i2), brute_join(logic, i1, i2))
+                meet_join.append(None if got == want else where)
+    same_entry = first_counterexample(same)
+    passed_cases = same_entry[1] - (0 if same_entry[0] else 1)
+
+    families = []
+    left_inputs = sorted({a for a, _, _ in props[bl.Side.LEFT]})
+    right_inputs = sorted({b for b, _, _ in props[bl.Side.RIGHT]})
+    for a in left_inputs:
+        for b in right_inputs:
+            lefts = [P for x, P, _ in props[bl.Side.LEFT] if x == a]
+            rights = [Q for y, Q, _ in props[bl.Side.RIGHT] if y == b]
+            for k in range(family_bound + 1):
+                for l in range(family_bound + 1):
+                    if k + l < 2:
+                        continue
+                    for lchoice in itertools.combinations(lefts, k):
+                        for rchoice in itertools.combinations(rights, l):
+                            regions = {}
+                            for alpha in range(spec.left_sizes[a]):
+                                for beta in range(spec.right_sizes[b]):
+                                    sig = (
+                                        tuple(alpha in P for P in lchoice),
+                                        tuple(beta in Q for Q in rchoice),
+                                    )
+                                    if any(sig[0]) or any(sig[1]):
+                                        cell = gamma.outcome_mask(
+                                            bl.Side.LEFT, a, alpha
+                                        ) & gamma.outcome_mask(bl.Side.RIGHT, b, beta)
+                                        regions[sig] = regions.get(sig, 0) | cell
+                            ok = all(bits in index for bits in regions.values())
+                            families.append(
+                                None
+                                if ok
+                                else {"a": a, "b": b, "left": list(lchoice), "right": list(rchoice)}
+                            )
+    return {
+        "cross_side": first_counterexample(cross),
+        "same_side": same_entry,
+        "families": first_counterexample(families),
+        "meet_join_table": first_counterexample(meet_join),
+        "incompatible_pairs": [pq for pq in incompatible[:passed_cases] if pq],
+    }

@@ -57,22 +57,10 @@ def test_single_input_pair_is_simplex():
     hrep = bl.ns_polytope(SINGLE_PAIR)
     vertex_set = bl.enumerate_vertices(hrep)
     assert vertex_set.affine_dim == 3
-    assert len(vertex_set) == 4
+    determined = {coords_of(hrep, pr) for pr in oracles.deterministic_tables(SINGLE_PAIR)}
+    assert len(determined) == 4
+    assert set(vertex_set.vertices) == determined
     assert vertex_set.count("deterministic") == 4
-
-
-def test_adjacency_tests_agree():
-    for spec in (SINGLE_PAIR, CHSH):
-        hrep = bl.ns_polytope(spec)
-        fast = bl.enumerate_vertices(hrep, adjacency="combinatorial")
-        exact = bl.enumerate_vertices(hrep, adjacency="algebraic")
-        assert fast.vertices == exact.vertices
-
-
-def test_unknown_adjacency_rejected(chsh_polytope):
-    hrep, _ = chsh_polytope
-    with pytest.raises(ValueError):
-        bl.enumerate_vertices(hrep, adjacency="guess")
 
 
 def test_affine_dimension_cross_checked_by_vertices(chsh_polytope):
