@@ -90,9 +90,7 @@ from .polytope import (
     VertexSet,
     affine_dimension,
     enumerate_vertices,
-    is_extreme_point,
     ns_polytope,
-    satisfies_hrep,
 )
 from .observables import (
     Observable,

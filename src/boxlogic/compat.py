@@ -495,15 +495,17 @@ def verify_localized_propositions(
                     yield None if ok else {"a": a, "b": b, "left": left_sets, "right": right_sets}
 
     def meet_join_table() -> Iterator[Optional[dict]]:
+        # a wanted meet or join missing from the table fails the pair
         for side, (a1, P, i1), (a2, Q, i2), where in same_side_pairs():
             if a1 != a2:
-                want = (logic.index_of(0), logic.index_of(logic.full_mask))
+                want = (logic.index.get(0), logic.index.get(logic.full_mask))
             else:
                 want = tuple(
-                    logic.index_of(localized_bits(gamma, side, a1, outcomes))
+                    logic.index.get(localized_bits(gamma, side, a1, outcomes))
                     for outcomes in (set(P) & set(Q), set(P) | set(Q))
                 )
-            yield None if (logic.meet(i1, i2), logic.join(i1, i2)) == want else where
+            got = (logic.meet(i1, i2), logic.join(i1, i2))
+            yield None if None not in want and got == want else where
 
     same = _first_failure(same_side())  # fills in the certificate
     return LocalizedReport(

@@ -1,10 +1,13 @@
-"""Exact rational linear algebra: row reduction, rank, affine solve."""
+"""Exact linear algebra: rational row reduction, rank, affine solve, and the
+dtype rule of the integer numpy kernels."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+import numpy as np
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -73,6 +76,15 @@ def integerize(vec: Sequence[Fraction]) -> tuple[list[int], int]:
     for x in vec:
         den = lcm(den, Fraction(x).denominator)
     return [int(x * den) for x in vec], den
+
+
+def _exact_dtype(magnitude: int, terms: int):
+    """int64 when sums of ``terms`` products up to ``magnitude`` stay below 2**62.
+
+    The one overflow rule of the integer kernels: past the bound the same
+    expressions run on ``object`` arrays of Python ints.
+    """
+    return np.int64 if magnitude * max(terms, 2) < 2**62 else object
 
 
 def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:

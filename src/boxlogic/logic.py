@@ -474,7 +474,7 @@ def classify_above_atom(logic: Logic, atom_index: int, elem_index: int) -> Order
         return idx
 
     if q == logic.full_mask:
-        return OrderClassification(OrderKind.TOP, logic.full_mask, logic.index_of(0))
+        return OrderClassification(OrderKind.TOP, logic.full_mask, remainder(logic.full_mask))
     aid = logic.atom_ids[logic.atom_indices.index(atom_index)]
     left_piece = logic.gamma.outcome_mask(Side.LEFT, aid.a, aid.alpha)
     if left_piece & q == left_piece:

@@ -5,10 +5,20 @@ with normalization and marginal-consistency equalities plus sign
 constraints.  Vertices are enumerated with an incremental double
 description sweep over the homogenization cone (Fukuda & Prodon, "Double
 Description Method Revisited", 1996).  Exact rational algebra sets the
-sweep up: the affine hull and the first cone basis.  The sweep and the
-read-back of vertices then run entirely in integer arithmetic: rays are
-gcd-reduced integer vectors, and each vertex coordinate becomes one
-``Fraction`` only at the end.
+sweep up: the affine hull, and the first cone basis as the inverse of one
+row reduction of ``[A | I]``.  The sweep and the read-back of vertices then
+run as integer numpy array work:
+
+- the rays are the rows of one integer matrix, int64 while every product
+  of a step stays below 2**62 and ``object`` (Python ints) past that, by
+  the rule ``linalg._exact_dtype`` also sets for the state kernel; both
+  dtypes run the same expressions;
+- each ray's active set is packed into ``uint64`` words, one bit per sign
+  constraint;
+- the pairs of a step are filtered and tested for adjacency in blocks
+  whose temporaries hold about ``_BLOCK_ENTRIES`` entries (at least one
+  row), so memory stays bounded however many rays a step holds;
+- the vertices are read back with one matrix product and one row gcd.
 """
 
 from __future__ import annotations
@@ -16,15 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from typing import Sequence
+from math import lcm
+
+import numpy as np
 
 from .errors import BoxLogicError, VariableCapExceeded
-from .linalg import IndependentRows, gcd_reduce, integerize, rank, rref, solve_affine
-from .logic import _bit_indices
+from .linalg import IndependentRows, _exact_dtype, gcd_reduce, integerize, rref, solve_affine
 from .scenario import AtomId, BoxWorldSpec, all_atom_ids
 
 DEFAULT_VARIABLE_CAP = 200
+# entries of each temporary in a block of the sweep's pair tests (at least one row)
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -88,33 +100,9 @@ def ns_polytope(spec: BoxWorldSpec, *, var_cap: int = DEFAULT_VARIABLE_CAP) -> H
     return HRep(spec, variables, tuple(coeffs), tuple(rhs))
 
 
-def satisfies_hrep(hrep: HRep, x: Sequence[Fraction]) -> bool:
-    if len(x) != hrep.nvars:
-        return False
-    if any(v < 0 for v in x):
-        return False
-    for row, b in zip(hrep.eq_coeffs, hrep.eq_rhs):
-        if sum(c * v for c, v in zip(row, x)) != b:
-            return False
-    return True
-
-
 def affine_dimension(hrep: HRep) -> int:
     _, basis = solve_affine(hrep.eq_coeffs, hrep.eq_rhs)
     return len(basis)
-
-
-def is_extreme_point(hrep: HRep, x: Sequence[Fraction]) -> bool:
-    """Exact extremality: the active constraints pin the point uniquely."""
-    if not satisfies_hrep(hrep, x):
-        return False
-    rows: list[list[Fraction]] = [list(map(Fraction, r)) for r in hrep.eq_coeffs]
-    for i, v in enumerate(x):
-        if v == 0:
-            unit = [Fraction(0)] * hrep.nvars
-            unit[i] = Fraction(1)
-            rows.append(unit)
-    return rank(rows) == hrep.nvars
 
 
 @dataclass
@@ -138,7 +126,12 @@ class VertexSet:
 
     @cached_property
     def classes(self) -> tuple[str, ...]:
-        return tuple(classify_vertex(v) for v in self.vertices)
+        """Deterministic when every entry is 0 or 1, that is 0 or ``scale``."""
+        bounds = {0, self.scale}
+        return tuple(
+            "deterministic" if bounds.issuperset(row) else "nondeterministic"
+            for row in self.scaled
+        )
 
     def __len__(self) -> int:
         return len(self.scaled)
@@ -147,24 +140,21 @@ class VertexSet:
         return sum(1 for c in self.classes if c == cls)
 
 
-def classify_vertex(coords: Sequence[Fraction]) -> str:
-    return "deterministic" if all(v in (0, 1) for v in coords) else "nondeterministic"
-
-
 def enumerate_vertices(hrep: HRep) -> VertexSet:
     """All extreme points of the polytope, exactly.
 
     Two rays of the double description sweep are adjacent when no third
     ray's active set contains their common active set, a test that is
-    exact for pointed cones.  It reads a column bitmap built at each
-    constraint step: per constraint, one integer mask over the positions
-    of the current rays it is active on.  The AND of the columns of a
-    pair's common active set marks every ray whose active set contains
-    it; the pair is adjacent when only its own two bits remain.
+    exact for pointed cones.  A pair is only a candidate when its common
+    set has at least ``cone_dim - 2`` constraints, a popcount of the
+    AND of its words.  The exact test then counts, per candidate, the rays
+    whose words contain the common set: the pair is adjacent when the
+    count is two, the pair itself.
 
     Vertices are read back over one denominator: with x0 scaled to
-    integers over d0, ray (s, r) gives x = (s*x0 + d0*basis^T r) / (s*d0).
-    Each vertex is reduced and scaled to the lcm of all vertex
+    integers over d0, ray (s, r) gives x = (s*x0 + d0*basis^T r) / (s*d0),
+    one product of the ray matrix with ``[x0 | d0; d0*basis | 0]``.  Each
+    row is reduced by its gcd and scaled to the lcm of all vertex
     denominators; sorting and deduplicating those integer rows gives the
     order and the set of the ``Fraction`` tuples.
     """
@@ -191,96 +181,102 @@ def enumerate_vertices(hrep: HRep) -> VertexSet:
     if len(chosen) < cone_dim:
         raise BoxLogicError("constraint system is rank deficient; cone not pointed")
 
-    rays: list[tuple[int, ...]] = []
-    active: dict[tuple[int, ...], int] = {}
-    inverse_cols = _invert_columns([cons[ci] for ci in chosen])
-    for col in inverse_cols:
-        ray = gcd_reduce(col)
-        rays.append(ray)
-        mask = 0
-        for ci in chosen:
-            if _dot(cons[ci], ray) == 0:
-                mask |= 1 << ci
-        active[ray] = mask
+    columns = _invert_columns([cons[ci] for ci in chosen])
+    rays = np.array([gcd_reduce(col) for col in columns], dtype=object)
+    act = np.zeros((cone_dim, -(-len(cons) // 64)), dtype=np.uint64)
+    rays, dots = _exact_products(rays, [cons[ci] for ci in chosen])
+    for k, ci in enumerate(chosen):
+        _mark(act, dots[:, k] == 0, ci)
 
     for ci in range(len(cons)):
         if ci in chosen:
             continue
-        c = cons[ci]
-        dots = {r: _dot(c, r) for r in rays}
-        pos = [r for r in rays if dots[r] > 0]
-        zero = [r for r in rays if dots[r] == 0]
-        neg = [r for r in rays if dots[r] < 0]
-        for r in zero:
-            active[r] |= 1 << ci
-        if neg:
-            # column bitmap: for each constraint, the rays it is active on
-            columns = [0] * len(cons)
-            for k, r in enumerate(rays):
-                for j in _bit_indices(active[r]):
-                    columns[j] |= 1 << k
-            ray_bit = {r: 1 << k for k, r in enumerate(rays)}
-            fresh: list[tuple[int, ...]] = []
-            for rp in pos:
-                for rn in neg:
-                    common = active[rp] & active[rn]
-                    if common.bit_count() < cone_dim - 2:
-                        continue
-                    pair = ray_bit[rp] | ray_bit[rn]
-                    holders = -1
-                    for j in _bit_indices(common):
-                        holders &= columns[j]
-                        if holders == pair:
-                            break
-                    if holders != pair:
-                        continue
-                    new = gcd_reduce(
-                        tuple(
-                            dots[rp] * bn - dots[rn] * bp for bp, bn in zip(rp, rn)
-                        )
-                    )
-                    if new not in active:
-                        active[new] = common | (1 << ci)
-                        fresh.append(new)
-            for r in neg:
-                del active[r]
-            rays = pos + zero + fresh
+        rays, dots = _exact_products(rays, [cons[ci]], combine=True)
+        d = dots[:, 0]
+        _mark(act, d == 0, ci)
+        neg = np.flatnonzero(d < 0)
+        if not len(neg):
+            continue
+        pos = np.flatnonzero(d > 0)
+        keep = np.concatenate([pos, np.flatnonzero(d == 0)])
+        new_rays, new_act = [rays[keep]], [act[keep]]
+        for p, n in _adjacent_pairs(act, pos, neg, cone_dim - 2):
+            fresh = d[p, None] * rays[n] - d[n, None] * rays[p]
+            new_rays.append(fresh // np.gcd.reduce(fresh, axis=1)[:, None])
+            common = act[p] & act[n]
+            _mark(common, slice(None), ci)
+            new_act.append(common)
+        rays, act = np.concatenate(new_rays), np.concatenate(new_act)
 
-    x0n, d0 = integerize(x0)
-    coord_rows = list(zip(*basis)) if dim else [()] * hrep.nvars
-    rows: list[tuple[tuple[int, ...], int]] = []
-    for ray in rays:
-        s = ray[0]
-        if s == 0:
+    first = np.flatnonzero(rays[:, 0] <= 0)
+    if len(first):
+        if rays[first[0], 0] == 0:
             raise BoxLogicError("recession direction found; polytope is unbounded")
-        if s < 0:
-            raise BoxLogicError("ray with negative homogeneous coordinate")
-        r = ray[1:]
-        nums = [s * x0n[i] + d0 * _dot(coord_rows[i], r) for i in range(hrep.nvars)]
-        g = gcd(s * d0, *nums)
-        rows.append((tuple(v // g for v in nums), s * d0 // g))
+        raise BoxLogicError("ray with negative homogeneous coordinate")
+    x0n, d0 = integerize(x0)
+    readback = [[*x0n, d0]] + [[d0 * v for v in row] + [0] for row in basis]
+    _, both = _exact_products(rays, list(zip(*readback)))
+    both //= np.gcd.reduce(both, axis=1)[:, None]
+    scale = lcm(*both[:, -1].tolist())
+    magnitude = max(int(np.abs(both).max(initial=0)), 1) * scale
+    both = both.astype(_exact_dtype(magnitude, 1))
+    scaled = both[:, :-1] * (scale // both[:, -1:])
     # integer keys over one denominator sort and compare as the Fraction tuples do
-    scale = lcm(*(den for _, den in rows))
-    scaled = sorted({tuple(v * (scale // den) for v in nums) for nums, den in rows})
-    return VertexSet(hrep, dim, tuple(scaled), scale)
+    return VertexSet(hrep, dim, tuple(sorted(set(map(tuple, scaled.tolist())))), scale)
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+def _exact_products(
+    rays: np.ndarray, rows: list[tuple[int, ...]], *, combine: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rays and their dot products with ``rows``, both in the exact dtype.
+
+    With ``combine`` the dtype also keeps ``d[p]*R[n] - d[n]*R[p]`` exact,
+    the new rays of a sweep step.
+    """
+    rmax = max(int(np.abs(rays).max(initial=0)), 1)
+    magnitude = rmax * max(abs(v) for row in rows for v in row)
+    if combine:
+        magnitude *= 2 * rmax
+    rays = rays.astype(_exact_dtype(magnitude, rays.shape[1]), copy=False)
+    return rays, rays @ np.array(rows, dtype=rays.dtype).T
+
+
+def _mark(act: np.ndarray, rows, ci: int) -> None:
+    """Add constraint ``ci`` to the active sets of ``rows``."""
+    act[rows, ci >> 6] |= np.uint64(1 << (ci & 63))
+
+
+def _adjacent_pairs(act: np.ndarray, pos: np.ndarray, neg: np.ndarray, need: int):
+    """Adjacent (positive, negative) ray index arrays, one block of positive
+    rays at a time, in row-major order over pos x neg.
+
+    A ray that holds the common set of a pair (p, n) shares at least that
+    many constraints with p, so the holder count of a block only reads the
+    rays that share ``need`` constraints with one of its positive rays.
+    """
+    words = act.shape[1]
+    is_neg = np.zeros(len(act), dtype=bool)
+    is_neg[neg] = True
+    rows = max(1, _BLOCK_ENTRIES // (len(act) * words))
+    for start in range(0, len(pos), rows):
+        block = pos[start : start + rows]
+        shared = np.bitwise_count(act[block][:, None, :] & act[None, :, :]).sum(axis=2) >= need
+        near = act[shared.any(axis=0)][None, :, :]
+        i, n = np.nonzero(shared & is_neg)
+        p = block[i]
+        pairs = max(1, _BLOCK_ENTRIES // (near.shape[1] * words))
+        adjacent = np.zeros(len(p), dtype=bool)
+        for k in range(0, len(p), pairs):
+            common = (act[p[k : k + pairs]] & act[n[k : k + pairs]])[:, None, :]
+            holders = ((near & common) == common).all(axis=2).sum(axis=1)
+            adjacent[k : k + pairs] = holders == 2
+        yield p[adjacent], n[adjacent]
 
 
 def _invert_columns(rows: list[tuple[int, ...]]) -> list[list[int]]:
     """Columns of the inverse of a nonsingular integer matrix, integer-scaled."""
     d = len(rows)
-    out = []
-    for k in range(d):
-        aug = [
-            [Fraction(v) for v in row] + [Fraction(1 if i == k else 0)]
-            for i, row in enumerate(rows)
-        ]
-        reduced, pivots = rref(aug)
-        if pivots != list(range(d)):
-            raise BoxLogicError("initial constraint matrix is singular")
-        col = [reduced[i][d] for i in range(d)]
-        out.append(integerize(col)[0])
-    return out
+    reduced, pivots = rref([[*row, *(int(i == k) for k in range(d))] for i, row in enumerate(rows)])
+    if pivots != list(range(d)):
+        raise BoxLogicError("initial constraint matrix is singular")
+    return [integerize([reduced[i][d + k] for i in range(d)])[0] for k in range(d)]

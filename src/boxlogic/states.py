@@ -43,6 +43,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import StateError, TheoremViolation, WellDefinednessViolation
+from .linalg import _exact_dtype
 from .logic import ConcreteLogic, Logic, _bit_indices
 from .polytope import ns_polytope
 from .scenario import AtomId, BoxWorldSpec
@@ -63,11 +64,6 @@ def _as_fraction(value: RationalLike, where: str = "") -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise StateError(f"bad rational {value!r}{where}: {exc}") from exc
-
-
-def _exact_dtype(magnitude: int, natoms: int):
-    """int64 when sums of ``natoms`` entries up to ``magnitude`` stay below 2**62."""
-    return np.int64 if magnitude * max(natoms, 2) < 2**62 else object
 
 
 @dataclass(frozen=True)

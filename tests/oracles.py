@@ -212,6 +212,72 @@ def relabelled_pr_box_tables(spec) -> list:
     ]
 
 
+# -- polytope points by plain Gaussian elimination ------------------------------
+# Exact Fraction elimination written out here, so that neither the
+# double-description sweep nor the library's row reduction is on the path.
+
+
+def _reduced(rows) -> tuple:
+    """Reduced row echelon form over Fractions: (nonzero rows, pivot columns)."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        mat[r] = [v / mat[r][c] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat[: len(pivots)], pivots
+
+
+def satisfies_hrep(hrep, x) -> bool:
+    """x is non-negative and meets every equality of the H-representation."""
+    return (
+        len(x) == hrep.nvars
+        and all(v >= 0 for v in x)
+        and all(
+            sum(c * v for c, v in zip(row, x)) == b
+            for row, b in zip(hrep.eq_coeffs, hrep.eq_rhs)
+        )
+    )
+
+
+def is_extreme_point(hrep, x) -> bool:
+    """Exact extremality: the equalities and the active signs pin x uniquely."""
+    if not satisfies_hrep(hrep, x):
+        return False
+    units = [[int(j == i) for j in range(hrep.nvars)] for i, v in enumerate(x) if v == 0]
+    return len(_reduced([*hrep.eq_coeffs, *units])[1]) == hrep.nvars
+
+
+def basic_solution_vertices(hrep) -> set:
+    """Vertices of {x >= 0 : A x = b} as its feasible basic solutions: for
+    every set of rank(A) columns that are independent and have b in their
+    span, the solution that is zero off those columns, when non-negative."""
+    n = hrep.nvars
+    r = len(_reduced(hrep.eq_coeffs)[1])
+    found = set()
+    for support in itertools.combinations(range(n), r):
+        augmented = [
+            [row[j] for j in support] + [b] for row, b in zip(hrep.eq_coeffs, hrep.eq_rhs)
+        ]
+        reduced, pivots = _reduced(augmented)
+        if pivots != list(range(r)):
+            continue
+        x = [Fraction(0)] * n
+        for i, j in enumerate(support):
+            x[j] = reduced[i][r]
+        if all(v >= 0 for v in x):
+            found.add(tuple(x))
+    return found
+
+
 # -- naive relation scans, checked against the column kernel -------------------
 # These take plain element lists and never call ConcreteLogic's relation
 # methods or the closure under test.
@@ -526,15 +592,16 @@ def naive_localized_entries(logic, family_bound: int = 2) -> dict:
                 c = compatible(i1, i2)
                 same.append(None if c == (a1 == a2) else {**where, "compatible": c})
                 incompatible.append(None if c else (i1, i2))
+                # the meet and join wanted here have to be in the table
                 if a1 != a2:
-                    want = (index[0], index[full])
+                    want = (index.get(0), index.get(full))
                 else:
                     want = (
-                        index[one_box_bits(side, a1, set(P) & set(Q))],
-                        index[one_box_bits(side, a1, set(P) | set(Q))],
+                        index.get(one_box_bits(side, a1, set(P) & set(Q))),
+                        index.get(one_box_bits(side, a1, set(P) | set(Q))),
                     )
                 got = (brute_meet(logic, i1, i2), brute_join(logic, i1, i2))
-                meet_join.append(None if got == want else where)
+                meet_join.append(None if None not in want and got == want else where)
     same_entry = first_counterexample(same)
     passed_cases = same_entry[1] - (0 if same_entry[0] else 1)
 

@@ -161,7 +161,7 @@ def test_criterion_06_polytope_vertices(chsh_polytope):
     oracle_ok = (
         len(determined) == 16
         and len(boxes) == 8
-        and all(bl.is_extreme_point(hrep, v) for v in determined | boxes)
+        and all(oracles.is_extreme_point(hrep, v) for v in determined | boxes)
         and set(vertex_set.vertices) == determined | boxes
     )
     simplex = bl.enumerate_vertices(bl.ns_polytope(SINGLE_PAIR))

@@ -1,14 +1,19 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boxlogic as bl
 from boxlogic import BoxWorldSpec
+from boxlogic.io import load_scenario
 
 import oracles
 from conftest import CHSH, SINGLE_PAIR
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def coords_of(hrep, pr):
@@ -34,8 +39,8 @@ def test_chsh_vertices_against_construction_oracle(chsh_polytope):
     for construction in (oracles.binary_nonlocal_tables, oracles.relabelled_pr_box_tables):
         assert {coords_of(hrep, pr) for pr in construction(CHSH)} == boxes
     for coords in determined | boxes:
-        assert bl.satisfies_hrep(hrep, coords)
-        assert bl.is_extreme_point(hrep, coords)
+        assert oracles.satisfies_hrep(hrep, coords)
+        assert oracles.is_extreme_point(hrep, coords)
     assert set(vertex_set.vertices) == determined | boxes
 
 
@@ -50,7 +55,7 @@ def test_vertices_satisfy_constraints_exactly_and_differ(chsh_polytope):
     hrep, vertex_set = chsh_polytope
     assert len(set(vertex_set.vertices)) == len(vertex_set)
     for coords in vertex_set.vertices:
-        assert bl.satisfies_hrep(hrep, coords)
+        assert oracles.satisfies_hrep(hrep, coords)
 
 
 def test_single_input_pair_is_simplex():
@@ -78,16 +83,16 @@ def test_midpoint_is_not_extreme(chsh_polytope):
     hrep, vertex_set = chsh_polytope
     a, b = vertex_set.vertices[0], vertex_set.vertices[1]
     mid = tuple((x + y) / 2 for x, y in zip(a, b))
-    assert bl.satisfies_hrep(hrep, mid)
-    assert not bl.is_extreme_point(hrep, mid)
+    assert oracles.satisfies_hrep(hrep, mid)
+    assert not oracles.is_extreme_point(hrep, mid)
 
 
 def test_infeasible_points_rejected(chsh_polytope):
     hrep, _ = chsh_polytope
     nv = hrep.nvars
-    assert not bl.satisfies_hrep(hrep, tuple(Fraction(0) for _ in range(nv)))
-    assert not bl.is_extreme_point(hrep, tuple(Fraction(0) for _ in range(nv)))
-    assert not bl.satisfies_hrep(hrep, tuple(Fraction(1, 16) for _ in range(nv)))
+    assert not oracles.satisfies_hrep(hrep, tuple(Fraction(0) for _ in range(nv)))
+    assert not oracles.is_extreme_point(hrep, tuple(Fraction(0) for _ in range(nv)))
+    assert not oracles.satisfies_hrep(hrep, tuple(Fraction(1, 16) for _ in range(nv)))
 
 
 def test_variable_cap():
@@ -128,7 +133,7 @@ def assert_vertices_match_oracles(
     assert set(vertex_set.vertices) == determined | nonlocal_
     # the rank test on every vertex takes about a minute; a seeded sample suffices
     for coords in random.Random(0).sample(sorted(determined | nonlocal_), 50):
-        assert bl.is_extreme_point(hrep, coords)
+        assert oracles.is_extreme_point(hrep, coords)
 
 
 def test_three_input_polytope_shape(three_input_polytope):
@@ -190,3 +195,108 @@ def test_vertex_csv_stable(chsh_polytope):
     assert len(lines) == 25
     assert lines[0].startswith("class,p_0_0_0_0")
     assert text == vertices_to_csv(vertex_set)
+
+
+# Hand-built systems whose sweep passes the int64 bound.  "crossing" has
+# small coefficients: its rays start in int64, pass 2**62 in the sweep and
+# come back below it.  "combinations" stays in int64 only if the bound
+# leaves out the new rays' products d[p] * R[n], which then overflow.
+# "large" has ten-digit coefficients and is past the bound from the start.
+PAST_INT64_SYSTEMS = {
+    "crossing": (
+        (
+            (16, 16, 10, 14, 18, 17, 16, 14, 17, 15),
+            (17, -7, 12, -12, -2, -12, -14, 19, -4, 14),
+            (18, -11, -1, -14, -16, 1, 10, 15, -14, 2),
+        ),
+        (10, 0, 0),
+    ),
+    "combinations": (
+        (
+            (57, 57, 31, 32, 32, 41, 56, 35, 53, 55),
+            (25, 49, -21, -28, 17, -33, 17, -56, 14, 27),
+            (-40, -5, 21, -10, 42, 32, 50, 5, -13, 9),
+        ),
+        (30, 0, 0),
+    ),
+    "large": (
+        (
+            (10**9 + 7, 10**9 + 9, 998244353, 10**9 + 21, 10**9 + 33, 10**9 + 87),
+            (104729, -104723, 104717, -104711, 104707, -104701),
+        ),
+        (10**9, 0),
+    ),
+}
+
+
+def test_exact_dtype_bound():
+    from boxlogic.linalg import _exact_dtype
+
+    assert _exact_dtype(2**62 // 8 - 1, 8) is np.int64
+    assert _exact_dtype(2**62 // 8, 8) is object
+    # a single term is bounded as a sum of two
+    assert _exact_dtype(2**61 - 1, 1) is np.int64
+    assert _exact_dtype(2**61, 1) is object
+
+
+@pytest.mark.parametrize("name", PAST_INT64_SYSTEMS)
+def test_object_dtype_sweep_matches_basic_solutions(monkeypatch, name):
+    from boxlogic import polytope
+
+    coeffs, rhs = PAST_INT64_SYSTEMS[name]
+    hrep = bl.HRep(CHSH, bl.all_atom_ids(CHSH)[: len(coeffs[0])], coeffs, rhs)
+    chosen = []
+    exact_dtype = polytope._exact_dtype
+
+    def recording(magnitude, terms):
+        chosen.append(exact_dtype(magnitude, terms))
+        return chosen[-1]
+
+    monkeypatch.setattr(polytope, "_exact_dtype", recording)
+    vertex_set = bl.enumerate_vertices(hrep)
+    assert object in chosen
+    if name == "crossing":
+        assert chosen[0] is np.int64 and np.int64 in chosen[1:-1]
+    assert max(abs(v) for row in vertex_set.scaled for v in row) > 2**63
+    expected = oracles.basic_solution_vertices(hrep)
+    assert len(expected) > 5
+    assert set(vertex_set.vertices) == expected
+    assert len(vertex_set) == len(expected)
+
+
+@pytest.mark.parametrize("entries", [1, 7])
+@pytest.mark.parametrize("polytope_fixture", ["chsh_polytope", "three_input_polytope"])
+def test_block_size_does_not_change_vertices(monkeypatch, request, entries, polytope_fixture):
+    from boxlogic import polytope
+
+    hrep, vertex_set = request.getfixturevalue(polytope_fixture)
+    monkeypatch.setattr(polytope, "_BLOCK_ENTRIES", entries)
+    assert bl.enumerate_vertices(hrep) == vertex_set
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_integer_classes_match_fraction_classes(path):
+    vertex_set = bl.enumerate_vertices(bl.ns_polytope(load_scenario(path)))
+    assert vertex_set.classes == tuple(
+        "deterministic" if all(v in (0, 1) for v in coords) else "nondeterministic"
+        for coords in vertex_set.vertices
+    )
+    assert 0 < vertex_set.count("deterministic") <= len(vertex_set)
+
+
+def test_two_word_active_sets_match_basic_solutions():
+    # 66 sign constraints and the homogenizing one fill two uint64 words;
+    # the sweep's two steps run on constraints of the second word
+    rng = random.Random(3)
+    n = 66
+    coeffs = (
+        tuple(rng.randrange(1, 4) for _ in range(n)),
+        tuple(rng.randrange(-3, 4) for _ in range(n)),
+    )
+    spec = BoxWorldSpec.from_sizes([2, 2], [17])
+    hrep = bl.HRep(spec, bl.all_atom_ids(spec)[:n], coeffs, (6, 0))
+    vertex_set = bl.enumerate_vertices(hrep)
+    expected = oracles.basic_solution_vertices(hrep)
+    assert len(expected) == 877
+    assert set(vertex_set.vertices) == expected
+    assert len(vertex_set) == len(expected)

@@ -448,7 +448,7 @@ def test_point_state_table_is_deterministic_vertex(chsh_logic, chsh_polytope):
             for beta in range(2)
         )
         coords = tuple(pr.atom_value(aid) for aid in hrep.variables)
-        assert bl.is_extreme_point(hrep, coords)
+        assert oracles.is_extreme_point(hrep, coords)
         assert coords in vertex_set.vertices
 
 

@@ -82,6 +82,8 @@ LOGIC_CASES = {
         for seed in range(2)
     },
     "three_by_two_rectangle_removed": _rectangle_removed,
+    "chsh_without_empty_set": lambda: _removed(CHSH, {0}),
+    "chsh_without_full_set": lambda: _removed(CHSH, {bl.build_gamma(CHSH).full_mask}),
     "chsh_point_added": _point_added,
     "chsh_left_inputs_made_compatible": functools.partial(_inputs_made_compatible, Side.LEFT),
     "chsh_right_inputs_made_compatible": functools.partial(_inputs_made_compatible, Side.RIGHT),
@@ -171,3 +173,11 @@ def test_rectangle_removal_fails_cross_side_first_at_the_rectangle():
     entry = _expected("three_by_two_rectangle_removed")["localized cross_side"]
     assert entry[0] is False
     assert entry[2] == {"left": [0, [0, 1]], "right": [0, [0]]}
+
+
+@pytest.mark.parametrize("name", ["chsh_without_empty_set", "chsh_without_full_set"])
+def test_missing_bound_fails_meet_join_table(name):
+    # the wanted meet or join of two one-box propositions is the missing bound
+    report = bl.verify_localized_propositions(_table(name))
+    assert not report.meet_join_table.passed
+    assert not report.all_passed
