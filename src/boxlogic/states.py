@@ -584,7 +584,7 @@ def check_order_determining(
     unwitnessed pairs in ascending (p, q) order.
     """
     n = len(logic.elements)
-    comparable = len(logic.comparable_pairs()[0])
+    comparable = logic.comparable_count()
     if n <= scan_limit:
         certified, strategy = 0, "full scan"
     else:
@@ -630,7 +630,7 @@ def verify_state_monotonicity(
     ``checked`` is states passed times comparable pairs.
     """
     lower, _, upper = _atom_step_arrays(logic)
-    pairs = len(logic.comparable_pairs()[0])
+    pairs = logic.comparable_count()
     for k, s in enumerate(states):
         if np.any(s.numerators[lower] > s.numerators[upper]):
             return False, k * pairs

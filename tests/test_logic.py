@@ -1,13 +1,16 @@
+import itertools
+import operator
 import random
 
 import pytest
 
 import boxlogic as bl
 from boxlogic import AtomId, LocalizedSpec, OrderKind, Side
+from boxlogic import logic as logic_module
 from boxlogic.logic import _close_family
 
 import oracles
-from conftest import CHSH, SINGLE_PAIR, THREE_INPUT
+from conftest import CHSH, SINGLE_PAIR, THREE_INPUT, TWO_BY_THREE
 
 
 def localized_index(logic, side, input_index, outcomes):
@@ -65,6 +68,78 @@ def test_closure_independent_of_seed_order():
 def test_closure_budget():
     with pytest.raises(bl.ClosureBudgetExceeded):
         bl.close_logic(CHSH, closure_cap=10)
+
+
+def _seed_families(kind, ground):
+    """Five seeded seed families of one kind over ``ground`` points."""
+    rng = random.Random(f"{kind}-{ground}")
+    for _ in range(5):
+        masks = [rng.randrange(1, 1 << ground) for _ in range(rng.randint(1, 3))]
+        if kind == "empty":
+            yield []
+        elif kind == "nested":  # a chain m1 <= m1|m2 <= m1|m2|m3
+            yield list(itertools.accumulate(masks, operator.or_))
+        elif kind == "overlapping":  # every seed holds one shared point
+            point = 1 << rng.randrange(ground)
+            yield [m | point for m in masks]
+        else:
+            yield masks
+
+
+@pytest.mark.parametrize("kind", ["empty", "nested", "overlapping", "random"])
+@pytest.mark.parametrize("ground", range(1, 8))
+def test_closure_matches_naive_closure_on_seed_families(kind, ground):
+    for seeds in _seed_families(kind, ground):
+        assert _close_family(ground, seeds, cap=10**6) == oracles.naive_closure(ground, seeds)
+
+
+def _record_certificates(monkeypatch) -> list:
+    """Each minimal-member list the closure computes, in call order."""
+    certificates = []
+    minimal_nonzero = logic_module._minimal_nonzero
+
+    def recorder(family):
+        certificates.append(minimal_nonzero(family))
+        return certificates[-1]
+
+    monkeypatch.setattr(logic_module, "_minimal_nonzero", recorder)
+    return certificates
+
+
+@pytest.mark.parametrize(
+    "seeds, grown",
+    [([], [0b1111]), ([0b0011, 0b0110], [0b1001, 0b1100])],
+    ids=["no_seeds", "overlapping_pair"],
+)
+def test_closure_grows_its_step_set(monkeypatch, seeds, grown):
+    certificates = _record_certificates(monkeypatch)
+    assert _close_family(4, seeds, cap=100) == oracles.naive_closure(4, seeds)
+    # the first fixed point lacks minimal members among the steps; the
+    # walk with them added reaches the certified closure
+    assert len(certificates) == 2
+    assert sorted(set(certificates[0]) - set(seeds)) == grown
+    assert certificates[1] == certificates[0]
+
+
+@pytest.mark.parametrize("spec", [CHSH, THREE_INPUT], ids=["chsh", "three_input"])
+def test_closure_of_scenario_atoms_walks_once(monkeypatch, spec):
+    g = bl.build_gamma(spec)
+    atoms = [bl.make_atom(g, aid) for aid in bl.all_atom_ids(spec)]
+    certificates = _record_certificates(monkeypatch)
+    _close_family(g.gamma_size, atoms, cap=10**6)
+    assert certificates == [sorted(atoms, key=lambda a: (a.bit_count(), a))]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [TWO_BY_THREE, bl.BoxWorldSpec.from_sizes([3, 3], [3, 3, 3])],
+    ids=["3x3", "3x3_by_3x3x3"],
+)
+def test_larger_closures_match_the_disjoint_union_family(spec):
+    logic = bl.close_logic(spec)
+    elements = set(logic.elements)
+    assert elements == oracles.family_closure(logic.ground_size, logic.atom_bits)
+    assert {e ^ logic.full_mask for e in elements} == elements
 
 
 def test_canonical_table_order(chsh_logic):

@@ -592,3 +592,25 @@ def test_monotonicity_and_additivity_match_all_pairs(request, case):
         assert ok == oracles.naive_monotone(logic.elements, values)
         monotone.append(ok)
     assert False in monotone
+
+
+@pytest.mark.parametrize(
+    "spec, polytope", [(CHSH, "chsh_polytope"), (THREE_INPUT, "three_input_polytope")]
+)
+def test_pair_counts_leave_the_pair_arrays_unbuilt(request, spec, polytope):
+    hrep, vertex_set = request.getfixturevalue(polytope)
+    prs = bl.vertex_pr_states(hrep, vertex_set)[::40]
+
+    def fresh():
+        logic = bl.close_logic(spec)  # no pair arrays built yet
+        return logic, [bl.state_from_pr(logic, pr) for pr in prs]
+
+    logic, states = fresh()
+    pairs = len(oracles.naive_comparable_pairs(logic.elements))
+    assert bl.verify_state_monotonicity(logic, states) == (True, len(states) * pairs)
+    assert logic._comparable_cache is None
+    logic, states = fresh()
+    assert bl.check_order_determining(logic, states).comparable_pairs_skipped == pairs
+    assert logic._comparable_cache is None
+    # the built arrays hold the same number of pairs
+    assert len(logic.comparable_pairs()[0]) == logic.comparable_count() == pairs
