@@ -12,8 +12,8 @@ use the vertical tid-list bitmaps of Zaki (IEEE TKDE 2000): for each
 sample point x the table keeps a Python int whose bit i is set when
 element i contains x, and set bits are walked exactly with ``m & -m``
 and ``bit_length``; the pair lists and pair counts use them.  The
-closure, the Hasse covers and the order and additivity checks of states
-walk the atom steps p -> p | a instead, one per atom a disjoint from p.
+closure, the Hasse covers and the state kernel walk the atom steps
+p -> p | a instead, one per atom a disjoint from p.
 """
 
 from __future__ import annotations
@@ -120,6 +120,7 @@ class ConcreteLogic:
         self._atomistic: Optional[bool] = None
         self._comparable_cache = None
         self._disjoint_cache = None
+        self._step_cache: Optional[np.ndarray] = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -323,6 +324,13 @@ class ConcreteLogic:
                     steps.append((upper, k))
             for upper, k in sorted(steps):
                 yield i, k, upper
+
+    def _step_arrays(self) -> np.ndarray:
+        """``_atom_steps()`` as a read-only 3 x S array (lower, atom, upper), walked once."""
+        if self._step_cache is None:
+            self._step_cache = np.array(list(self._atom_steps()), dtype=np.intp).reshape(-1, 3).T
+            self._step_cache.flags.writeable = False
+        return self._step_cache
 
     def covers(self) -> list[tuple[int, int]]:
         """Edges (i, j) of the Hasse diagram, sorted: j covers i.

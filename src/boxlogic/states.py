@@ -7,27 +7,24 @@ Floating-point input is rejected.
 Tables and states meet in one batch kernel.  A batch of T tables is an
 integer matrix X (T x A, one column per atom in ``all_atom_ids(spec)``
 order, which is both ``logic.atom_ids`` and ``ns_polytope``'s variables)
-with one positive denominator
-per row, every row reduced to lowest terms.  With three fixed 0/1
-matrices of the logic, the kernel
+with one positive denominator per row, every row reduced to lowest
+terms.  With three fixed matrices of the logic, the kernel
 
 - validates: X >= 0 and X @ E^T == den * rhs, where E holds the
   ``ns_polytope`` equality rows (normalization and both marginal
   families), the same constraints ``validate_pr_state`` checks;
 - extends: the element values are V = X @ C, where C is the A x N
-  incidence matrix of the canonical atomic partitions;
-- checks well-definedness: X @ R equals V at each row's element, where R
-  is the incidence matrix of every atomic partition of every element;
+  incidence matrix of the lexicographically least atomic partitions;
+- checks well-definedness: X @ W^T == 0, where W holds the distinct rows
+  C(p) + e_a - C(p | a) over the atom steps p -> p | a;
 - reads back: the full-set column of V equals den, 0 <= V <= den, and
   the atom columns of V validate as a table again.
 
-Every sum the kernel forms adds at most A entries of magnitude at most
-M = max(|X|, den), so one dtype rule covers every product: int64 when
-M * max(A, 2) < 2**62, ``object`` (Python integers) otherwise.  Both
-dtypes run the same numpy expressions.  The partition check runs over a
-fixed number of tables at a time, so its T x |R| temporaries stay one
-chunk high however many tables a batch holds; V itself is the storage
-that the batch's states view, so no second copy of the values is kept.
+C and W hold only 0, 1 and -1, so every sum the kernel forms adds at
+most A entries of magnitude at most M = max(|X|, den), and one dtype
+rule covers every product: int64 when M * max(A, 2) < 2**62, ``object``
+(Python integers) otherwise.  Both dtypes run the same numpy
+expressions.  V is the storage that the batch's states view.
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ from .scenario import AtomId, BoxWorldSpec
 
 RationalLike = Union[Fraction, int, str]
 
-# tables per partition product: bounds its temporaries at _CHUNK x |R| entries
-_CHUNK = 16
 # the seeded mixtures: at most this many vertices, each of integer weight 1.._MAX_WEIGHT
 _MAX_SUPPORT = 6
 _MAX_WEIGHT = 9
@@ -64,6 +59,13 @@ def _as_fraction(value: RationalLike, where: str = "") -> Fraction:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise StateError(f"bad rational {value!r}{where}: {exc}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """A Python int, numpy integer or bool as an int; anything else is refused."""
+    if not isinstance(value, (int, np.integer, np.bool_)):
+        raise StateError(f"{what} must be an integer, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ class LogicState:
 
     ``additive_checked`` records that additivity over disjoint unions has
     been established, either by the construction (point states; tables
-    passing the all-partitions check) or by an explicit scan.
+    passing the atom-step check) or by an explicit scan.
     """
 
     __slots__ = ("logic", "denominator", "numerators", "additive_checked")
@@ -218,10 +220,14 @@ class LogicState:
         *,
         additive_checked: bool = False,
     ):
+        denominator = _integer(denominator, "the denominator")
         if denominator <= 0:
             raise StateError("denominator must be positive")
         if not isinstance(numerators, np.ndarray):
-            numerators = np.array([int(v) for v in numerators], dtype=object)
+            numerators = np.array([_integer(v, "a numerator") for v in numerators], dtype=object)
+        elif numerators.dtype.kind not in "biu":
+            for v in numerators.flat:
+                _integer(v, "a numerator")
         if numerators.shape != (len(logic.elements),):
             raise StateError("one value per logic element is required")
         magnitude = max(denominator, int(np.abs(numerators).max()))
@@ -230,7 +236,7 @@ class LogicState:
         nums = numerators.astype(dtype, copy=bool(numerators.flags.writeable))
         nums.flags.writeable = False
         self.logic = logic
-        self.denominator = int(denominator)
+        self.denominator = denominator
         self.numerators = nums
         self.additive_checked = additive_checked
 
@@ -277,21 +283,21 @@ class _StateTables:
         self.eq_rhs = np.array(hrep.eq_rhs, dtype=np.int64)
         self.atom_elems = np.array(logic.atom_indices, dtype=np.intp)
         self.full = logic.index_of(logic.full_mask)
-        canon = [logic.decomposition(i) for i in range(n)]
-        # an element without atomic partition fails extension, not validation
-        self.undefined = next((i for i, dec in enumerate(canon) if dec is None), None)
-        self.canon = np.zeros((natoms, n), dtype=np.int64)
-        rows_elem: list[int] = []
-        rows: list[tuple[int, ...]] = []
-        for i, dec in enumerate(canon):
-            self.canon[list(dec or ()), i] = 1
-            for part in logic.all_decompositions(i):
-                rows_elem.append(i)
-                rows.append(part)
-        self.rows_elem = np.array(rows_elem, dtype=np.intp)
-        self.rows = np.zeros((natoms, len(rows)), dtype=np.int64)
-        for r, part in enumerate(rows):
-            self.rows[list(part), r] = 1
+        lower, atom, upper = self.steps = logic._step_arrays()
+        pos = np.zeros(n, dtype=np.intp)
+        pos[self.atom_elems] = np.arange(natoms)
+        pos = pos[atom]  # the atom position of each step
+        # into each nonzero element, the step whose atom comes first
+        order = np.lexsort((pos, upper))
+        first = order[np.diff(upper[order], prepend=-1) != 0]
+        canon = np.zeros((n, natoms), dtype=np.int8)
+        for k in sorted(first.tolist(), key=lambda k: logic.elements[upper[k]].bit_count()):
+            canon[upper[k]] = canon[lower[k]]
+            canon[upper[k], pos[k]] = 1
+        self.canon = canon.T.astype(np.int64)
+        steps = canon[lower] + canon[atom] - canon[upper]
+        distinct = b"".join(dict.fromkeys(row.tobytes() for row in steps))
+        self.constraints = np.frombuffer(distinct, np.int8).reshape(-1, natoms).T.astype(np.int64)
 
     def batch(self, rows: Sequence[Sequence[int]], dens: Sequence[int]):
         """Integer tables over positive denominators as (X, den), reduced."""
@@ -308,25 +314,21 @@ class _StateTables:
         return (x >= 0).all(axis=1) & (x @ self.eq == den[:, None] * self.eq_rhs).all(axis=1)
 
     def extend(self, x: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """Element values X @ C, once every partition of every element agrees."""
-        if self.undefined is not None:
-            raise TheoremViolation(
-                f"element {self.undefined} admits no atomic partition; states are undefined"
-            )
+        """Element values X @ C, once the values add on every atom step.
+
+        If a is in a partition P of u, P - {a} partitions u - a, which the closed table
+        holds, so by induction every P sums to V(u); C(p) + e_a itself partitions p | a.
+        """
         values = x @ self.canon
-        for start in range(0, len(x), _CHUNK):
-            sums = x[start : start + _CHUNK] @ self.rows
-            expected = values[start : start + _CHUNK][:, self.rows_elem]
-            bad = np.argwhere(sums != expected)
-            if bad.size:
-                t, r = bad[0]
-                d = int(den[start + t])
-                part = tuple(int(k) for k in np.flatnonzero(self.rows[:, r]))
-                raise WellDefinednessViolation(
-                    f"element {int(self.rows_elem[r])}: partition {part} sums to "
-                    f"{Fraction(int(sums[t, r]), d)} but the canonical partition gives "
-                    f"{Fraction(int(expected[t, r]), d)}"
-                )
+        bad = np.flatnonzero((x @ self.constraints).any(axis=1))
+        if bad.size:
+            v, d = values[bad[0]], int(den[bad[0]])
+            low, atom, u = _first_step_failure(v, self.steps)
+            part = tuple(np.flatnonzero(self.canon[:, low] + self.canon[:, atom]).tolist())
+            raise WellDefinednessViolation(
+                f"element {u}: partition {part} sums to {Fraction(int(v[low] + v[atom]), d)} "
+                f"but the canonical partition gives {Fraction(int(v[u]), d)}"
+            )
         values.flags.writeable = False
         return values
 
@@ -364,11 +366,11 @@ def _state_tables(logic: Logic) -> _StateTables:
 def state_from_pr(logic: Logic, pr: PRState, *, validate: bool = True) -> LogicState:
     """Extend a table to the whole logic through atomic partitions.
 
-    The value of an element is the sum of its atoms' table entries; every
-    atomic partition of every element is checked to give the same sum, and
-    a mismatch raises WellDefinednessViolation.  Passing that check makes
-    the state additive: for disjoint p, q the concatenation of their
-    partitions is a partition of the union.
+    The value of an element is the sum of its atoms' table entries; the
+    values are checked to add on every atom step, which makes every atomic
+    partition of every element give the same sum, and a mismatch raises
+    WellDefinednessViolation.  Passing that check makes the state
+    additive, as in ``verify_state_additivity``.
     """
     tables = _state_tables(logic)
     fracs = [pr.atom_value(aid) for aid in logic.atom_ids]
@@ -388,15 +390,12 @@ def pr_from_state(state: LogicState) -> PRState:
     logic = state.logic
     if not isinstance(logic, Logic):
         raise StateError("a scenario logic is required to extract a table")
-    if not state.additive_checked:
-        failure = _first_additivity_failure(state)
-        if failure is not None:
-            i, j, u = failure
-            raise StateError(
-                f"state is not additive: elements {i} and {j} are disjoint with "
-                f"union {u}, but values do not add"
-            )
-        state.additive_checked = True
+    if not state.additive_checked and not verify_state_additivity(state):
+        i, j, u = _first_step_failure(state.numerators, logic._step_arrays())
+        raise StateError(
+            f"state is not additive: elements {i} and {j} are disjoint with "
+            f"union {u}, but values do not add"
+        )
     tables = _state_tables(logic)
     den = np.array([state.denominator], dtype=state.numerators.dtype)
     return tables.table(tables.read_back(state.numerators[None, :], den)[0], state.denominator)
@@ -439,19 +438,11 @@ def round_trip_rows(
     return RoundTrip(valid, states, failures)
 
 
-def _atom_step_arrays(logic: ConcreteLogic) -> np.ndarray:
-    """The logic's atom steps as a 3 x S index array: lower, atom, upper."""
-    return np.array(list(logic._atom_steps()), dtype=np.intp).reshape(-1, 3).T
-
-
-def _first_additivity_failure(state: LogicState) -> Optional[tuple[int, int, int]]:
-    lower, atom, upper = _atom_step_arrays(state.logic)
-    nums = state.numerators
+def _first_step_failure(nums: np.ndarray, steps: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """The first atom step (lower, atom, upper) whose values do not add."""
+    lower, atom, upper = steps
     bad = np.flatnonzero(nums[lower] + nums[atom] != nums[upper])
-    if not bad.size:
-        return None
-    k = bad[0]
-    return int(lower[k]), int(atom[k]), int(upper[k])
+    return tuple(int(v) for v in steps[:, bad[0]]) if bad.size else None
 
 
 def verify_state_additivity(state: LogicState) -> bool:
@@ -461,7 +452,7 @@ def verify_state_additivity(state: LogicState) -> bool:
     a disjoint union of atoms, so value(p | a) = value(p) + value(a) on the
     steps chains to every disjoint pair.
     """
-    ok = _first_additivity_failure(state) is None
+    ok = _first_step_failure(state.numerators, state.logic._step_arrays()) is None
     if ok:
         state.additive_checked = True
     return ok
@@ -629,7 +620,7 @@ def verify_state_monotonicity(
     the transitive closure of its covers, so only cover edges are compared;
     ``checked`` is states passed times comparable pairs.
     """
-    lower, _, upper = _atom_step_arrays(logic)
+    lower, _, upper = logic._step_arrays()
     pairs = logic.comparable_count()
     for k, s in enumerate(states):
         if np.any(s.numerators[lower] > s.numerators[upper]):

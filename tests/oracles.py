@@ -437,6 +437,44 @@ def state_oracle(logic, partitions, pr) -> dict:
     }
 
 
+def lex_least_partitions(logic) -> list:
+    """The lexicographically least ``atom_partitions`` of every element; () for the empty one."""
+    return [(atom_partitions(e, logic.atom_bits) or [()])[0] for e in logic.elements]
+
+
+def atom_steps(logic) -> list:
+    """(element, atom position, index of the union) for every element and
+    every atom disjoint from it: elements in index order, each one's steps
+    by the index of the union."""
+    index = {e: i for i, e in enumerate(logic.elements)}
+    return [
+        (i, pos, u)
+        for i, e in enumerate(logic.elements)
+        for u, pos in sorted(
+            (index[e | a], pos) for pos, a in enumerate(logic.atom_bits) if not e & a
+        )
+    ]
+
+
+def first_step_failure(logic, pr):
+    """The first of the ``atom_steps`` on which a table's values fail to add.
+
+    Values are sums over ``lex_least_partitions``.  The result is (union
+    index, partition of the element plus the atom, its sum, the union's
+    value) with the values as Fractions, or None when every step adds.
+    """
+    entries = [pr.atom_value(aid) for aid in logic.atom_ids]
+    den = math.lcm(*(f.denominator for f in entries))
+    atoms = [f.numerator * (den // f.denominator) for f in entries]
+    least = lex_least_partitions(logic)
+    value = [sum(atoms[pos] for pos in part) for part in least]
+    for i, pos, u in atom_steps(logic):
+        total = value[i] + atoms[pos]
+        if total != value[u]:
+            return u, tuple(sorted(least[i] + (pos,))), Fraction(total, den), Fraction(value[u], den)
+    return None
+
+
 # -- structural checks, first counterexample --------------------------------------
 # Plain loops that judge every case of a check up front; the entry reports the
 # first failing case.  ``checked`` counts the cases up to and including it, or

@@ -129,7 +129,7 @@ def test_criterion_05_state_correspondence(
         mixtures = bl.sample_pr_states(vertex_states, 100, seed=1000 + seed_offset)
         failures = 0
         for pr in vertex_states + mixtures:
-            # the construction runs the all-partitions consistency check
+            # the construction checks that the values add on every atom step
             rho = bl.state_from_pr(logic, pr)
             back = bl.pr_from_state(rho)
             if back.table != pr.table or bl.state_from_pr(logic, back) != rho:

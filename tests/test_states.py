@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -11,6 +12,7 @@ from boxlogic import AtomId, LocalizedSpec, Side
 
 import oracles
 from conftest import CHSH, THREE_INPUT
+from test_structural_checks import _point_added, _random_removal
 
 
 def loc_index(logic, side, input_index, outcomes):
@@ -380,29 +382,158 @@ def test_batch_flags_exactly_the_invalid_rows(chsh_logic, chsh_vertex_states):
             bl.state_from_pr(chsh_logic, pr)
 
 
+def well_definedness_text(failure):
+    u, part, got, want = failure
+    return f"element {u}: partition {part} sums to {got} but the canonical partition gives {want}"
+
+
 def test_first_well_definedness_failure_matches_oracle(chsh_logic, chsh_vertex_states):
     partitions = oracles.element_partitions(chsh_logic)
     for pr in invalid_tables(CHSH) + [pr_box(CHSH)]:
         expect = oracles.state_oracle(chsh_logic, partitions, pr)
-        if expect["mismatch"] is None:
+        failure = oracles.first_step_failure(chsh_logic, pr)
+        # the steps fail exactly when some partition disagrees
+        assert (failure is None) == (expect["mismatch"] is None)
+        if failure is None:
             rho = bl.state_from_pr(chsh_logic, pr, validate=False)
             assert [int(v) for v in rho.numerators] == [
                 v * rho.denominator // expect["den"] for v in expect["numerators"]
             ]
             continue
-        i, part, got, want = expect["mismatch"]
-        text = f"element {i}: partition {part} sums to {got} but the canonical partition gives {want}"
+        text = well_definedness_text(failure)
         with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
             bl.state_from_pr(chsh_logic, pr, validate=False)
-    # past the first chunk of tables, the first failing table is the one reported
+    # in a batch, the first failing table is the one reported
     tables = bl.states._state_tables(chsh_logic)
     prs = [*chsh_vertex_states * 3, signalling_table(CHSH), signalling_past_int64(CHSH)]
-    assert len(prs) > bl.states._CHUNK + 1
     x, den = tables.batch(*zip(*(table_row(chsh_logic, pr) for pr in prs)))
-    i, part, got, want = oracles.state_oracle(chsh_logic, partitions, prs[-2])["mismatch"]
-    text = f"element {i}: partition {part} sums to {got} but the canonical partition gives {want}"
+    text = well_definedness_text(oracles.first_step_failure(chsh_logic, prs[-2]))
     with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
         tables.extend(x, den)
+
+
+# -- the step certificate against every atomic partition ------------------------------
+
+STEP_SCENARIOS = {
+    "chsh": CHSH,
+    "three_by_two": bl.BoxWorldSpec.from_sizes([3], [2]),
+    "three_input": THREE_INPUT,
+}
+
+
+def random_tables(spec, vertices, seed, big):
+    """Six seeded mixtures of vertices and six tables drawn per input pair.
+
+    The second six are normalized for every input pair but their marginals
+    are free, so they signal unless the scenario has a single input pair.
+    With ``big`` every table's denominator passes 2**62.
+    """
+    rng = random.Random(seed)
+    scale = 3**41 if big else 6
+    out = []
+    for _ in range(6):
+        first, second = (Fraction(rng.randrange(1, scale), 2 * scale) for _ in range(2))
+        support = rng.sample(vertices, 3)
+        out.append(bl.convex_combination(support, [first, second, 1 - first - second]))
+    for _ in range(6):
+        weights = {
+            (a, b): [[rng.randrange(1, scale) for _ in range(rb)] for _ in range(la)]
+            for a, la in enumerate(spec.left_sizes)
+            for b, rb in enumerate(spec.right_sizes)
+        }
+        out.append(
+            bl.PRState.from_function(
+                spec,
+                lambda a, b, alpha, beta, w=weights: Fraction(
+                    w[a, b][alpha][beta], sum(map(sum, w[a, b]))
+                ),
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+@pytest.mark.parametrize("scenario", sorted(STEP_SCENARIOS))
+def test_step_certificate_matches_every_partition(request, scenario, big):
+    spec = STEP_SCENARIOS[scenario]
+    if scenario == "three_by_two":
+        logic = bl.close_logic(spec)
+        hrep = bl.ns_polytope(spec)
+        vertices = bl.vertex_pr_states(hrep, bl.enumerate_vertices(hrep))
+    else:
+        logic = request.getfixturevalue(f"{scenario}_logic")
+        vertices = bl.vertex_pr_states(*request.getfixturevalue(f"{scenario}_polytope"))
+    partitions = oracles.element_partitions(logic)
+    mismatches = 0
+    for pr in random_tables(spec, vertices, seed=len(scenario), big=big):
+        expect = oracles.state_oracle(logic, partitions, pr)
+        if expect["mismatch"] is not None:
+            mismatches += 1
+            with pytest.raises(bl.WellDefinednessViolation):
+                bl.state_from_pr(logic, pr, validate=False)
+            continue
+        rho = bl.state_from_pr(logic, pr, validate=False)
+        assert rho.numerators.dtype == (object if big else np.int64)
+        assert [int(v) * expect["den"] for v in rho.numerators] == [
+            v * rho.denominator for v in expect["numerators"]
+        ]
+    # one input pair leaves nothing to signal; elsewhere the drawn tables signal
+    assert mismatches == (0 if scenario == "three_by_two" else 6)
+
+
+@pytest.mark.parametrize("scenario", ["chsh", "three_input", "two_by_three"])
+def test_canonical_partitions_are_the_lex_least(request, scenario):
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    expect = np.zeros((len(logic.atom_bits), len(logic.elements)), dtype=np.int64)
+    for i in range(len(logic.elements)):
+        expect[list(logic.decomposition(i)), i] = 1
+    assert np.array_equal(bl.states._StateTables(logic).canon, expect)
+
+
+@pytest.mark.parametrize("scenario", ["chsh", "three_input"])
+def test_constraint_rows_are_the_distinct_step_rows(request, scenario):
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    least = oracles.lex_least_partitions(logic)
+    expect = set()
+    for i, pos, u in oracles.atom_steps(logic):
+        row = [0] * len(logic.atom_bits)
+        for p in (*least[i], pos):
+            row[p] += 1
+        for p in least[u]:
+            row[p] -= 1
+        expect.add(tuple(row))
+    rows = bl.states._StateTables(logic).constraints.T.tolist()
+    assert len(rows) == len(expect) and set(map(tuple, rows)) == expect
+
+
+def test_state_kernel_walks_the_steps_once():
+    logic = bl.close_logic(CHSH)
+    walk, walks = logic._atom_steps, []
+
+    def counted():
+        walks.append(1)
+        return walk()
+
+    logic._atom_steps = counted
+    point = bl.point_state(logic, 0)
+    unchecked = bl.LogicState(logic, 1, point.numerators)
+    assert bl.pr_from_state(unchecked) == bl.pr_from_state(point)
+    rows, dens = zip(table_row(logic, bl.PRState.uniform(CHSH)), table_row(logic, pr_box(CHSH)))
+    states = bl.states.round_trip_rows(logic, rows, dens).states
+    assert bl.verify_state_monotonicity(logic, [unchecked, *states])[0]
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("build", [_point_added, functools.partial(_random_removal, CHSH, 0)])
+def test_state_kernel_refuses_an_unclosed_table(build):
+    logic = build()
+    uniform = bl.PRState.uniform(CHSH)
+    with pytest.raises(bl.TheoremViolation):
+        bl.state_from_pr(logic, uniform)
+    with pytest.raises(bl.TheoremViolation):
+        bl.states.round_trip_rows(logic, *zip(table_row(logic, uniform)))
+    with pytest.raises(bl.TheoremViolation):
+        bl.verify_state_monotonicity(logic, [bl.point_state(logic, 0)])
 
 
 # -- point states ------------------------------------------------------------------
@@ -415,6 +546,44 @@ def test_state_does_not_share_a_writeable_array(chsh_logic):
     nums[:] = 0
     assert state == bl.point_state(chsh_logic, 0)
     assert not state.numerators.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "denominator, numerators",
+    [
+        (1, "half_list"),
+        (1, "float_array"),
+        (2, "fraction_list"),
+        (1.5, "zero_list"),
+    ],
+)
+def test_state_refuses_non_integer_input(chsh_logic, denominator, numerators):
+    n = len(chsh_logic.elements)
+    numerators = {
+        "half_list": [0.5] * n,
+        "float_array": np.full(n, 0.7),
+        "fraction_list": [Fraction(1, 2)] * n,
+        "zero_list": [0] * n,
+    }[numerators]
+    with pytest.raises(bl.StateError, match="must be an integer"):
+        bl.LogicState(chsh_logic, denominator, numerators)
+
+
+def test_state_accepts_integer_input(chsh_logic):
+    point = bl.point_state(chsh_logic, 0)
+    ints = [int(v) for v in point.numerators]
+    for den, nums in [
+        (1, np.array(ints, dtype=np.int64)),
+        (np.int64(1), np.array(ints, dtype=bool)),
+        (1, list(point.numerators)),
+        (1, np.array(ints, dtype=object)),
+    ]:
+        assert bl.LogicState(chsh_logic, den, nums) == point
+    big = 2**63
+    for nums in ([v * big for v in ints], np.array([v * big for v in ints], dtype=object)):
+        state = bl.LogicState(chsh_logic, big, nums)
+        assert state.numerators.dtype == object
+        assert state == point
 
 
 def test_point_state_bounds(chsh_logic):
