@@ -11,13 +11,13 @@ import csv
 import io as _stdio
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
 from .compat import PastingReport
 from .errors import ScenarioError, StateError
 from .logic import ConcreteLogic, Logic
-from .observables import Observable
 from .polytope import HRep, VertexSet
 from .scenario import BoxWorldSpec
 from .states import PRState, _as_fraction
@@ -39,7 +39,75 @@ def parse_fraction(text) -> Fraction:
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    The stdlib's C encoder does not indent, so ``json.dumps`` with an indent
+    runs its pure-Python encoder.  This writer dispatches as that encoder
+    does and takes the scalars from the stdlib's C routines, but writes a
+    list or tuple of exact ints or of exact strs with one join, and a list
+    of equal-length int rows (the Hasse covers) with one format string.
+    """
+    return _value(data, "\n") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode  # floats, None and booleans
+
+
+def _value(o, indent: str) -> str:
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None or o is True or o is False or isinstance(o, float):
+        return _encode_scalar(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        return _array(o, indent) if o else "[]"
+    if isinstance(o, dict):
+        return _object(o, indent) if o else "{}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _encode_str(k)
+    if k is None or isinstance(k, (int, float)):
+        return _encode_str(_value(k, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _object(o: dict, indent: str) -> str:
+    inner = indent + "  "
+    body = ("," + inner).join([_key(k) + ": " + _value(v, inner) for k, v in sorted(o.items())])
+    return "{" + inner + body + indent + "}"
+
+
+def _array(o, indent: str) -> str:
+    inner = indent + "  "
+    sep = "," + inner
+    kinds = set(map(type, o))
+    if kinds == {int}:
+        body = sep.join(map(int.__repr__, o))
+    elif kinds == {str}:
+        body = sep.join(map(_encode_str, o))
+    elif width := _row_width(o, kinds):
+        row_inner = inner + "  "
+        fmt = "[" + row_inner + ("," + row_inner).join(["%d"] * width) + inner + "]"
+        body = sep.join(map(fmt.__mod__, map(tuple, o)))
+    else:
+        body = sep.join([_value(x, inner) for x in o])
+    return "[" + inner + body + indent + "]"
+
+
+def _row_width(rows, kinds: set) -> int:
+    """The one length of ``rows`` if they are non-empty lists or tuples of
+    exact ints, else 0.  Not bools: ``"%d" % True`` is ``1``."""
+    if not kinds <= {list, tuple}:
+        return 0
+    widths = set(map(len, rows))
+    if len(widths) != 1 or set(map(type, chain.from_iterable(rows))) != {int}:
+        return 0
+    return widths.pop()
 
 
 def load_scenario(path: PathLike) -> BoxWorldSpec:
@@ -65,7 +133,7 @@ def logic_to_dict(logic: ConcreteLogic) -> dict:
         "elements": [hex_bits(e, logic.ground_size) for e in logic.elements],
         "complement": list(logic.complement_map),
         "atoms": list(logic.atom_indices),
-        "covers": [list(edge) for edge in logic.covers()],
+        "covers": logic.covers(),
     }
     if isinstance(logic, Logic):
         data["scenario"] = logic.spec.to_dict()
@@ -164,16 +232,6 @@ def vertices_to_csv(vertex_set: VertexSet) -> str:
     for cls, vert in zip(vertex_set.classes, vertex_set.vertices):
         writer.writerow([cls] + [format_fraction(x) for x in vert])
     return buffer.getvalue()
-
-
-def observable_to_list(obs: Observable) -> list[dict]:
-    return [
-        {
-            "value": format_fraction(v),
-            "element": hex_bits(obs.logic.elements[e], obs.logic.ground_size),
-        }
-        for v, e in obs.items
-    ]
 
 
 def write_text(path: PathLike, content: str) -> None:

@@ -3,11 +3,22 @@ dtype rule of the integer numpy kernels."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-import numpy as np
+# Importing numpy is the largest fixed cost of a command, and only the polytope
+# and state kernels compute with it: the package binds a lazy module, which
+# executes numpy on first attribute access, so `build` and `export json` never do.
+if "numpy" in sys.modules:
+    np = sys.modules["numpy"]
+else:
+    _spec = importlib.util.find_spec("numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -34,10 +45,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
 
 
 def solve_affine(

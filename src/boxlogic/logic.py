@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     ClosureBudgetExceeded,
     ForeignElementError,
@@ -31,6 +29,7 @@ from .errors import (
     ScenarioError,
     TheoremViolation,
 )
+from .linalg import np
 from .scenario import (
     AtomId,
     BoxWorldSpec,
@@ -119,6 +118,7 @@ class ConcreteLogic:
         self._columns: Optional[list[int]] = None
         self._atomistic: Optional[bool] = None
         self._comparable_cache = None
+        self._comparable_total: Optional[int] = None
         self._disjoint_cache = None
         self._step_cache: Optional[np.ndarray] = None
 
@@ -133,10 +133,6 @@ class ConcreteLogic:
             return self.index[bits]
         except KeyError:
             raise ForeignElementError(f"bit vector {bits:#x} not in the logic") from None
-
-    def bits_of(self, i: int) -> int:
-        self._check(i)
-        return self.elements[i]
 
     def _check(self, i: int) -> None:
         if not 0 <= i < len(self.elements):
@@ -284,7 +280,9 @@ class ConcreteLogic:
 
     def comparable_count(self) -> int:
         """Number of pairs in ``comparable_pairs()``, without building them."""
-        return sum(self.containing(e).bit_count() for e in self.elements)
+        if self._comparable_total is None:
+            self._comparable_total = sum(self.containing(e).bit_count() for e in self.elements)
+        return self._comparable_total
 
     def disjoint_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All unordered pairs (i, j), i < j, of disjoint elements."""

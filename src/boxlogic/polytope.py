@@ -28,10 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-import numpy as np
-
 from .errors import BoxLogicError, VariableCapExceeded
-from .linalg import IndependentRows, _exact_dtype, gcd_reduce, integerize, rref, solve_affine
+from .linalg import IndependentRows, _exact_dtype, gcd_reduce, integerize, np, rref, solve_affine
 from .scenario import AtomId, BoxWorldSpec, all_atom_ids
 
 DEFAULT_VARIABLE_CAP = 200

@@ -173,10 +173,6 @@ class GammaIndex:
         )
         return xs, ys
 
-    def iter_points(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        for i in range(self.gamma_size):
-            yield self.index_to_point(i)
-
     def outcome_mask(self, side: Side, input_index: int, outcome: int) -> int:
         """Bit vector of all points whose given input shows the given outcome."""
         sizes = self.left_sizes if side is Side.LEFT else self.right_sizes

@@ -37,10 +37,8 @@ from itertools import islice
 from math import lcm
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import StateError, TheoremViolation, WellDefinednessViolation
-from .linalg import _exact_dtype
+from .linalg import _exact_dtype, np
 from .logic import ConcreteLogic, Logic, _bit_indices
 from .polytope import ns_polytope
 from .scenario import AtomId, BoxWorldSpec
@@ -53,8 +51,8 @@ _MAX_WEIGHT = 9
 
 
 def _as_fraction(value: RationalLike, where: str = "") -> Fraction:
-    if isinstance(value, float):
-        raise StateError(f"float {value!r} rejected{where}; use exact rationals")
+    if isinstance(value, (float, bool)):
+        raise StateError(f"{type(value).__name__} {value!r} rejected{where}; use exact rationals")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -243,9 +241,6 @@ class LogicState:
     def value(self, i: int) -> Fraction:
         self.logic._check(i)
         return Fraction(int(self.numerators[i]), self.denominator)
-
-    def value_of_bits(self, bits: int) -> Fraction:
-        return self.value(self.logic.index_of(bits))
 
     def is_two_valued(self) -> bool:
         nums = self.numerators

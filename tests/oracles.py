@@ -236,6 +236,10 @@ def _reduced(rows) -> tuple:
     return mat[: len(pivots)], pivots
 
 
+def rank(rows) -> int:
+    return len(_reduced(rows)[1])
+
+
 def satisfies_hrep(hrep, x) -> bool:
     """x is non-negative and meets every equality of the H-representation."""
     return (
@@ -253,7 +257,7 @@ def is_extreme_point(hrep, x) -> bool:
     if not satisfies_hrep(hrep, x):
         return False
     units = [[int(j == i) for j in range(hrep.nvars)] for i, v in enumerate(x) if v == 0]
-    return len(_reduced([*hrep.eq_coeffs, *units])[1]) == hrep.nvars
+    return rank([*hrep.eq_coeffs, *units]) == hrep.nvars
 
 
 def basic_solution_vertices(hrep) -> set:
@@ -261,7 +265,7 @@ def basic_solution_vertices(hrep) -> set:
     every set of rank(A) columns that are independent and have b in their
     span, the solution that is zero off those columns, when non-negative."""
     n = hrep.nvars
-    r = len(_reduced(hrep.eq_coeffs)[1])
+    r = rank(hrep.eq_coeffs)
     found = set()
     for support in itertools.combinations(range(n), r):
         augmented = [

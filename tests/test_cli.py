@@ -148,6 +148,17 @@ def test_states_check_rejects_floats(chsh_file, capsys, tmp_path):
     assert "float" in err
 
 
+def test_states_check_rejects_booleans(tmp_path, capsys):
+    single = tmp_path / "single_pair.json"
+    save_scenario(bl.BoxWorldSpec.from_sizes([2], [2]), single)
+    state_path = tmp_path / "booleans.json"
+    state_path.write_text(json.dumps({"0,0": [[True, False], [False, False]]}))
+    code, out, err = run(capsys, ["states", "check", str(single), str(state_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bool" in err
+
+
 def test_export_json(chsh_file, capsys, tmp_path):
     out_dir = tmp_path / "exp"
     code, _, _ = run(capsys, ["export", "json", chsh_file, "--out", str(out_dir)])

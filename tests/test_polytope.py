@@ -69,14 +69,12 @@ def test_single_input_pair_is_simplex():
 
 
 def test_affine_dimension_cross_checked_by_vertices(chsh_polytope):
-    from boxlogic.linalg import rank
-
     _, vertex_set = chsh_polytope
     v0 = vertex_set.vertices[0]
     rows = [
         [x - y for x, y in zip(vert, v0)] for vert in vertex_set.vertices[1:]
     ]
-    assert rank(rows) == vertex_set.affine_dim
+    assert oracles.rank(rows) == vertex_set.affine_dim
 
 
 def test_midpoint_is_not_extreme(chsh_polytope):

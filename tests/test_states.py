@@ -9,6 +9,7 @@ import pytest
 
 import boxlogic as bl
 from boxlogic import AtomId, LocalizedSpec, Side
+from boxlogic.io import pr_state_from_dict
 
 import oracles
 from conftest import CHSH, THREE_INPUT
@@ -82,6 +83,15 @@ def test_missing_entries_rejected():
 def test_floats_rejected():
     with pytest.raises(bl.StateError):
         bl.PRState.from_function(CHSH, lambda a, b, alpha, beta: 0.25)
+
+
+def test_booleans_rejected():
+    # Fraction(True) == 1, so a JSON true would otherwise read as probability 1
+    single = bl.BoxWorldSpec.from_sizes([2], [2])
+    with pytest.raises(bl.StateError, match="bool True rejected"):
+        pr_state_from_dict(single, {"0,0": [[True, False], [False, False]]})
+    with pytest.raises(bl.StateError, match="bool"):
+        bl.convex_combination([bl.PRState.uniform(CHSH)], [True])
 
 
 # -- states from tables ------------------------------------------------------------
@@ -783,3 +793,22 @@ def test_pair_counts_leave_the_pair_arrays_unbuilt(request, spec, polytope):
     assert logic._comparable_cache is None
     # the built arrays hold the same number of pairs
     assert len(logic.comparable_pairs()[0]) == logic.comparable_count() == pairs
+
+
+def test_verify_counts_comparable_pairs_once():
+    logic = bl.close_logic(CHSH)
+    containing, masks = logic.containing, []
+    logic.containing = lambda bits: masks.append(bits) or containing(bits)
+    count, masks_per_call = logic.comparable_count, []
+
+    def counted():
+        before = len(masks)
+        total = count()
+        masks_per_call.append(len(masks) - before)
+        return total
+
+    logic.comparable_count = counted
+    assert bl.verify_scenario(CHSH, logic=logic)["all_passed"]
+    # asked by monotonicity and by order determination, summed over the elements once
+    assert masks_per_call == [len(logic.elements), 0]
+    assert count() == len(logic.comparable_pairs()[0])
