@@ -175,9 +175,10 @@ def cmd_export(args: argparse.Namespace) -> int:
         text = logic_to_dot(logic)
         print(text, end="")
         _emit(text, args.out, "logic.dot")
-        for side in (Side.LEFT, Side.RIGHT):
-            _, pasting = single_box_logic(logic.gamma, side, big_logic=logic)
-            _emit(pasting_to_dot(pasting), args.out, f"pasting_{side.value}.dot")
+        if args.out is not None:
+            for side in (Side.LEFT, Side.RIGHT):
+                _, pasting = single_box_logic(logic.gamma, side, big_logic=logic)
+                _emit(pasting_to_dot(pasting), args.out, f"pasting_{side.value}.dot")
     else:
         hrep = ns_polytope(spec, var_cap=caps["polytope_variables"])
         vertex_set = enumerate_vertices(hrep)

@@ -1,17 +1,18 @@
-"""Exact linear algebra: rational row reduction, rank, affine solve, and the
-dtype rule of the integer numpy kernels."""
+"""Exact linear algebra over Python ints: one fraction-free elimination, the
+affine solve built on it, and the dtype rule of the integer numpy kernels."""
 
 from __future__ import annotations
 
 import importlib.util
 import sys
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
+
+from .errors import BoxLogicError
 
 # Importing numpy is the largest fixed cost of a command, and only the polytope
 # and state kernels compute with it: the package binds a lazy module, which
-# executes numpy on first attribute access, so `build` and `export json` never do.
+# executes numpy on first attribute access, so `build` and `export json|dot` never do.
 if "numpy" in sys.modules:
     np = sys.modules["numpy"]
 else:
@@ -21,68 +22,70 @@ else:
     _spec.loader.exec_module(np)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968).
+
+    Returns ``(reduced, pivots, den)``: the reduced row echelon form of
+    ``rows`` as integer rows over one positive denominator, so that
+    ``reduced[i][pivots[j]] == den`` when ``i == j`` and 0 otherwise, and
+    ``reduced[i][c] / den`` is the rational form's entry.  Zero rows are
+    dropped.  The pivot columns are the first independent columns, in order.
+
+    Each step replaces every other row by ``(p*row - f*top) // prev``, with
+    ``p`` the new pivot and ``prev`` the one before.  Every entry is then a
+    minor of the input up to sign, so the division is exact (Sylvester's
+    identity) and the entries stay as small as the determinants.  A row
+    with ``f == 0`` is unchanged when ``p == prev``, so it is skipped.
+    """
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
+    den = 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if k is None:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        mat[r], mat[k] = mat[k], mat[r]
+        top, p = mat[r], mat[r][c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and (f or p != den):
+                mat[i] = [(p * x - f * y) // den for x, y in zip(row, top)]
+        den = p
         pivots.append(c)
-        r += 1
-        if r == len(mat):
+        if len(pivots) == len(mat):
             break
-    return mat[:r], pivots
+    if den < 0:
+        mat, den = [[-x for x in row] for row in mat], -den
+    return mat[: len(pivots)], pivots, den
 
 
 def solve_affine(
-    coeffs: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Solve ``A x = b`` exactly.
+    coeffs: Sequence[Sequence[int]], rhs: Sequence[int], nvars: int
+) -> tuple[list[int], int, list[tuple[int, ...]]]:
+    """Solve ``A x = b`` exactly for ``nvars`` unknowns.
 
-    Returns a particular solution (free variables set to zero) and a basis
-    of the null space of ``A``.  Raises ValueError if the system is
+    Returns ``(x0, d0, basis)``: the particular solution ``x0 / d0`` (free
+    variables set to zero) over its least common denominator ``d0``, and a
+    basis of the null space of ``A``, one primitive integer vector per free
+    variable, positive there.  Raises BoxLogicError if the system is
     inconsistent.
     """
-    augmented = [
-        [Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(coeffs, rhs)
-    ]
-    reduced, pivots = rref(augmented)
-    ncols = len(coeffs[0])
-    if ncols in pivots:
-        raise ValueError("inconsistent linear system")
-    x0 = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x0[c] = reduced[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
+    reduced, pivots, den = eliminate([[*row, b] for row, b in zip(coeffs, rhs)])
+    if nvars in pivots:
+        raise BoxLogicError("inconsistent equalities: a combination of them reads 0 = 1")
+    x0 = [0] * nvars
+    for row, c in zip(reduced, pivots):
+        x0[c] = row[nvars]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -reduced[i][fc]
-        basis.append(v)
-    return x0, basis
-
-
-def integerize(vec: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Scale a rational vector to integers; returns (scaled, denominator)."""
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    return [int(x * den) for x in vec], den
+    for fc in (c for c in range(nvars) if c not in pivots):
+        v = [0] * nvars
+        v[fc] = den
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[fc]
+        basis.append(gcd_reduce(v))
+    g = gcd(den, *x0)
+    return [x // g for x in x0], den // g, basis
 
 
 def _exact_dtype(magnitude: int, terms: int):
@@ -95,35 +98,7 @@ def _exact_dtype(magnitude: int, terms: int):
 
 
 def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g > 1:
         return tuple(x // g for x in vec)
     return tuple(vec)
-
-
-class IndependentRows:
-    """Incrementally collects rows that are linearly independent."""
-
-    def __init__(self) -> None:
-        self._reduced: list[list[Fraction]] = []  # rows kept in echelon form
-        self._pivots: list[int] = []
-        self.count = 0
-
-    def add(self, row: Sequence[int | Fraction]) -> bool:
-        """Keep ``row`` if independent of the rows so far; report whether kept."""
-        work = [Fraction(x) for x in row]
-        for red, piv in zip(self._reduced, self._pivots):
-            if work[piv] != 0:
-                f = work[piv]
-                work = [x - f * y for x, y in zip(work, red)]
-        pivot = next((c for c, x in enumerate(work) if x != 0), None)
-        if pivot is None:
-            return False
-        pv = work[pivot]
-        work = [x / pv for x in work]
-        self._reduced.append(work)
-        self._pivots.append(pivot)
-        self.count += 1
-        return True

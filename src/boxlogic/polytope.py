@@ -4,10 +4,12 @@ The polytope lives in table space: one variable per elementary question,
 with normalization and marginal-consistency equalities plus sign
 constraints.  Vertices are enumerated with an incremental double
 description sweep over the homogenization cone (Fukuda & Prodon, "Double
-Description Method Revisited", 1996).  Exact rational algebra sets the
-sweep up: the affine hull, and the first cone basis as the inverse of one
-row reduction of ``[A | I]``.  The sweep and the read-back of vertices then
-run as integer numpy array work:
+Description Method Revisited", 1996).  One fraction-free integer
+elimination (``linalg.eliminate``) sets the sweep up: the affine hull,
+the first ``cone_dim`` independent sign rows M, and the first cone basis
+as the columns of M's inverse, read from the reduction of ``[M | I]``.
+The sweep and the read-back of vertices then run as integer numpy array
+work:
 
 - the rays are the rows of one integer matrix, int64 while every product
   of a step stays below 2**62 and ``object`` (Python ints) past that, by
@@ -26,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BoxLogicError, VariableCapExceeded
-from .linalg import IndependentRows, _exact_dtype, gcd_reduce, integerize, np, rref, solve_affine
+from .linalg import _exact_dtype, eliminate, gcd_reduce, np, solve_affine
 from .scenario import AtomId, BoxWorldSpec, all_atom_ids
 
 DEFAULT_VARIABLE_CAP = 200
@@ -99,7 +101,7 @@ def ns_polytope(spec: BoxWorldSpec, *, var_cap: int = DEFAULT_VARIABLE_CAP) -> H
 
 
 def affine_dimension(hrep: HRep) -> int:
-    _, basis = solve_affine(hrep.eq_coeffs, hrep.eq_rhs)
+    _, _, basis = solve_affine(hrep.eq_coeffs, hrep.eq_rhs, hrep.nvars)
     return len(basis)
 
 
@@ -156,33 +158,29 @@ def enumerate_vertices(hrep: HRep) -> VertexSet:
     denominators; sorting and deduplicating those integer rows gives the
     order and the set of the ``Fraction`` tuples.
     """
-    x0, basis_frac = solve_affine(hrep.eq_coeffs, hrep.eq_rhs)
-    basis: list[list[int]] = [integerize(vec)[0] for vec in basis_frac]
+    x0, d0, basis = solve_affine(hrep.eq_coeffs, hrep.eq_rhs, hrep.nvars)
     dim = len(basis)
     cone_dim = dim + 1
 
-    # one homogeneous row per sign constraint: value of x_i as c*s + a.t >= 0
+    # one homogeneous row per sign constraint: value of x_i as c*s + a.t >= 0,
+    # scaled by the denominator of x0_i alone, not d0, to keep the products small
     cons: list[tuple[int, ...]] = []
     for i in range(hrep.nvars):
-        row = [x0[i]] + [Fraction(basis[j][i]) for j in range(dim)]
-        introw, _ = integerize(row)
-        cons.append(tuple(introw))
+        g = gcd(x0[i], d0)
+        cons.append((x0[i] // g, *(d0 // g * vec[i] for vec in basis)))
     cons.append((1,) + (0,) * dim)
 
-    chooser = IndependentRows()
-    chosen: list[int] = []
-    for ci, row in enumerate(cons):
-        if chooser.add(row):
-            chosen.append(ci)
-        if len(chosen) == cone_dim:
-            break
-    if len(chosen) < cone_dim:
-        raise BoxLogicError("constraint system is rank deficient; cone not pointed")
-
-    columns = _invert_columns([cons[ci] for ci in chosen])
-    rays = np.array([gcd_reduce(col) for col in columns], dtype=object)
+    # the pivot columns of the transpose are the first independent rows: always
+    # cone_dim of them, since e0 and the basis vectors' columns are independent
+    _, chosen, _ = eliminate(list(zip(*cons)))
+    initial = [cons[ci] for ci in chosen]
+    # the chosen rows M are independent, so [M | I] reduces to [den*I | den*M^-1]
+    # and the columns of its right block are the first rays
+    identity = [[int(i == k) for k in range(cone_dim)] for i in range(cone_dim)]
+    reduced, _, _ = eliminate([[*row, *unit] for row, unit in zip(initial, identity)])
+    rays = np.array([gcd_reduce(col) for col in list(zip(*reduced))[cone_dim:]], dtype=object)
     act = np.zeros((cone_dim, -(-len(cons) // 64)), dtype=np.uint64)
-    rays, dots = _exact_products(rays, [cons[ci] for ci in chosen])
+    rays, dots = _exact_products(rays, initial)
     for k, ci in enumerate(chosen):
         _mark(act, dots[:, k] == 0, ci)
 
@@ -206,13 +204,10 @@ def enumerate_vertices(hrep: HRep) -> VertexSet:
             new_act.append(common)
         rays, act = np.concatenate(new_rays), np.concatenate(new_act)
 
-    first = np.flatnonzero(rays[:, 0] <= 0)
-    if len(first):
-        if rays[first[0], 0] == 0:
-            raise BoxLogicError("recession direction found; polytope is unbounded")
-        raise BoxLogicError("ray with negative homogeneous coordinate")
-    x0n, d0 = integerize(x0)
-    readback = [[*x0n, d0]] + [[d0 * v for v in row] + [0] for row in basis]
+    # s >= 0 is one of the swept constraints, so s == 0 is the only way to fail
+    if (rays[:, 0] == 0).any():
+        raise BoxLogicError("recession direction found; polytope is unbounded")
+    readback = [[*x0, d0]] + [[d0 * v for v in row] + [0] for row in basis]
     _, both = _exact_products(rays, list(zip(*readback)))
     both //= np.gcd.reduce(both, axis=1)[:, None]
     scale = lcm(*both[:, -1].tolist())
@@ -270,11 +265,3 @@ def _adjacent_pairs(act: np.ndarray, pos: np.ndarray, neg: np.ndarray, need: int
             adjacent[k : k + pairs] = holders == 2
         yield p[adjacent], n[adjacent]
 
-
-def _invert_columns(rows: list[tuple[int, ...]]) -> list[list[int]]:
-    """Columns of the inverse of a nonsingular integer matrix, integer-scaled."""
-    d = len(rows)
-    reduced, pivots = rref([[*row, *(int(i == k) for k in range(d))] for i, row in enumerate(rows)])
-    if pivots != list(range(d)):
-        raise BoxLogicError("initial constraint matrix is singular")
-    return [integerize([reduced[i][d + k] for i in range(d)])[0] for k in range(d)]

@@ -125,10 +125,17 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("command", [["export", "json"], ["build"]], ids=["export-json", "build"])
+@pytest.mark.parametrize(
+    "command",
+    [["export", "json"], ["export", "dot"], ["build"]],
+    ids=["export-json", "export-dot", "build"],
+)
 def test_export_and_build_never_execute_numpy(command):
     proc = run_cli(NUMPY_UNTOUCHED, *command, str(ROOT / "scenarios" / "chsh.json"))
-    assert json.loads(proc.stdout)
+    if command[-1] == "dot":
+        assert proc.stdout.startswith("digraph")
+    else:
+        assert json.loads(proc.stdout)
 
 
 def test_verify_bytes_do_not_depend_on_who_imports_numpy():

@@ -160,6 +160,23 @@ def test_unbounded_system_rejected():
         bl.enumerate_vertices(hrep)
 
 
+def test_inconsistent_equalities_rejected():
+    # x0 = 1 and x0 = 2
+    variables = bl.all_atom_ids(SINGLE_PAIR)[:2]
+    hrep = bl.HRep(SINGLE_PAIR, variables, ((1, 0), (1, 0)), (1, 2))
+    for run in (bl.enumerate_vertices, bl.affine_dimension):
+        with pytest.raises(bl.BoxLogicError, match="inconsistent equalities"):
+            run(hrep)
+
+
+def test_no_equalities_is_the_unbounded_orthant():
+    variables = bl.all_atom_ids(SINGLE_PAIR)[:2]
+    hrep = bl.HRep(SINGLE_PAIR, variables, (), ())
+    assert bl.affine_dimension(hrep) == 2
+    with pytest.raises(bl.BoxLogicError, match="recession direction"):
+        bl.enumerate_vertices(hrep)
+
+
 def test_deterministic_vertices_are_assignment_tables(three_input_polytope):
     hrep, vertex_set = three_input_polytope
     spec = hrep.spec
