@@ -11,9 +11,10 @@ Relations between elements come from two mechanisms.  All-pairs scans
 use the vertical tid-list bitmaps of Zaki (IEEE TKDE 2000): for each
 sample point x the table keeps a Python int whose bit i is set when
 element i contains x, and set bits are walked exactly with ``m & -m``
-and ``bit_length``; the pair lists and pair counts use them.  The
-closure, the Hasse covers and the state kernel walk the atom steps
-p -> p | a instead, one per atom a disjoint from p.
+and ``bit_length``; the pair generators and counts use them.  The
+closure, the Hasse covers, the state kernel and the certificate of the
+structural checks walk the atom steps p -> p | a, one per atom a
+disjoint from p.
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ def _minimal_nonzero(family: Iterable[int]) -> list[int]:
     return minimal
 
 
-def _columns_union(cols: Sequence[int], bits: int) -> int:
-    """OR of the columns of the points of ``bits``."""
-    hit = 0
-    for x in _bit_indices(bits):
-        hit |= cols[x]
-    return hit
-
-
 class ConcreteLogic:
     """Finite family of subsets of ``{0..ground_size-1}`` as a bit-vector table."""
 
@@ -117,9 +110,8 @@ class ConcreteLogic:
         self._decomp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._columns: Optional[list[int]] = None
         self._atomistic: Optional[bool] = None
-        self._comparable_cache = None
         self._comparable_total: Optional[int] = None
-        self._disjoint_cache = None
+        self._closed: Optional[bool] = None
         self._step_cache: Optional[np.ndarray] = None
 
     # -- basic queries ---------------------------------------------------
@@ -258,39 +250,27 @@ class ConcreteLogic:
             mask &= cols[x]
         return mask
 
-    def disjoint_from(self, bits: int) -> int:
-        """Mask of the element indices whose elements miss ``bits``."""
-        hit = _columns_union(self._column_masks(), bits)
-        return ((1 << len(self.elements)) - 1) & ~hit
-
-    def _pair_arrays(self, partners) -> tuple[np.ndarray, np.ndarray]:
-        firsts: list[int] = []
-        seconds: list[int] = []
+    def comparable_pairs(self) -> Iterator[tuple[int, int]]:
+        """All ordered pairs (i, j) with element i a subset of element j, in order."""
         for i, e in enumerate(self.elements):
-            js = list(_bit_indices(partners(i, e)))
-            firsts.extend([i] * len(js))
-            seconds.extend(js)
-        return np.array(firsts, dtype=np.int64), np.array(seconds, dtype=np.int64)
-
-    def comparable_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All ordered pairs (i, j) with element i a subset of element j."""
-        if self._comparable_cache is None:
-            self._comparable_cache = self._pair_arrays(lambda i, e: self.containing(e))
-        return self._comparable_cache
+            for j in _bit_indices(self.containing(e)):
+                yield i, j
 
     def comparable_count(self) -> int:
-        """Number of pairs in ``comparable_pairs()``, without building them."""
+        """Number of pairs in ``comparable_pairs()``, without walking them."""
         if self._comparable_total is None:
             self._comparable_total = sum(self.containing(e).bit_count() for e in self.elements)
         return self._comparable_total
 
-    def disjoint_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All unordered pairs (i, j), i < j, of disjoint elements."""
-        if self._disjoint_cache is None:
-            self._disjoint_cache = self._pair_arrays(
-                lambda i, e: self.disjoint_from(e) >> (i + 1) << (i + 1)
-            )
-        return self._disjoint_cache
+    def disjoint_pairs(self) -> Iterator[tuple[int, int]]:
+        """All unordered pairs (i, j), i < j, of disjoint elements, in order."""
+        cols, everything = self._column_masks(), (1 << len(self.elements)) - 1
+        for i, e in enumerate(self.elements):
+            hit = (1 << (i + 1)) - 1  # the elements up to i, then those meeting e
+            for x in _bit_indices(e):
+                hit |= cols[x]
+            for j in _bit_indices(everything & ~hit):
+                yield i, j
 
     # -- atom steps and exports ---------------------------------------------
 
@@ -322,6 +302,19 @@ class ConcreteLogic:
                     steps.append((upper, k))
             for upper, k in sorted(steps):
                 yield i, k, upper
+
+    def _certified(self) -> bool:
+        """Closed under complement and disjoint union, with the minimal nonzero
+        elements as atoms: the table holds the empty set, without which the
+        walk can pass vacuously, and ``_atom_steps()`` walks through, once."""
+        if self._closed is None:
+            self._closed = 0 in self.index
+            try:
+                for _ in self._atom_steps() if self._closed else ():
+                    pass
+            except TheoremViolation:
+                self._closed = False
+        return self._closed
 
     def _step_arrays(self) -> np.ndarray:
         """``_atom_steps()`` as a read-only 3 x S array (lower, atom, upper), walked once."""
@@ -463,6 +456,14 @@ class OrderClassification:
         return self.base_bits | logic.elements[self.remainder_index]
 
 
+def _one_box_pieces(logic: Logic, aid: AtomId) -> tuple[int, int]:
+    """The left piece "input a gave alpha" and the right piece "input b gave beta"."""
+    return (
+        logic.gamma.outcome_mask(Side.LEFT, aid.a, aid.alpha),
+        logic.gamma.outcome_mask(Side.RIGHT, aid.b, aid.beta),
+    )
+
+
 def classify_above_atom(logic: Logic, atom_index: int, elem_index: int) -> OrderClassification:
     """Classify an element above an atom, preferring the most informative case.
 
@@ -477,29 +478,21 @@ def classify_above_atom(logic: Logic, atom_index: int, elem_index: int) -> Order
     if p & q != p:
         raise NotAboveError("the atom is not below the element")
 
-    def remainder(base: int) -> int:
-        rest = q & ~base
-        idx = logic.index.get(rest)
-        if idx is None:
-            raise TheoremViolation(
-                "remainder of an order classification is missing from the logic"
-            )
-        return idx
-
-    if q == logic.full_mask:
-        return OrderClassification(OrderKind.TOP, logic.full_mask, remainder(logic.full_mask))
     aid = logic.atom_ids[logic.atom_indices.index(atom_index)]
-    left_piece = logic.gamma.outcome_mask(Side.LEFT, aid.a, aid.alpha)
-    if left_piece & q == left_piece:
-        return OrderClassification(
-            OrderKind.LEFT_LOCALIZED, left_piece, remainder(left_piece)
-        )
-    right_piece = logic.gamma.outcome_mask(Side.RIGHT, aid.b, aid.beta)
-    if right_piece & q == right_piece:
-        return OrderClassification(
-            OrderKind.RIGHT_LOCALIZED, right_piece, remainder(right_piece)
-        )
-    return OrderClassification(OrderKind.ATOM_PLUS_REST, p, remainder(p))
+    left_piece, right_piece = _one_box_pieces(logic, aid)
+    # only the full set contains the full set; the atom is below q, so the loop breaks
+    for kind, base in (
+        (OrderKind.TOP, logic.full_mask),
+        (OrderKind.LEFT_LOCALIZED, left_piece),
+        (OrderKind.RIGHT_LOCALIZED, right_piece),
+        (OrderKind.ATOM_PLUS_REST, p),
+    ):
+        if base & q == base:
+            break
+    rest = logic.index.get(q & ~base)
+    if rest is None:
+        raise TheoremViolation("remainder of an order classification is missing from the logic")
+    return OrderClassification(kind, base, rest)
 
 
 # -- verification -----------------------------------------------------------
@@ -547,10 +540,10 @@ def verify_axioms(logic: ConcreteLogic) -> AxiomReport:
     """Exhaustively check the order, complement and closure axioms.
 
     Failures are report entries, never exceptions, so damaged tables can
-    be inspected.  Each entry scans its cases up to the first
-    counterexample: ``checked`` counts the cases examined, that one
-    included, and ``counterexample`` is None when the check passes.  L1,
-    C2 and L3 read the whole table and report its size.  For disjoint
+    be inspected.  L1, C2 and L3 read the whole table and report its
+    size.  The pair checks hold on a table that ``_certified`` accepts and
+    count their cases there; elsewhere each scans its cases up to the
+    first counterexample, which ``checked`` includes.  For disjoint
     families only pairs are checked: in a finite table closed under
     pairwise disjoint unions, chaining unions two at a time realizes
     every finite disjoint family, and the report records this reduction.
@@ -563,25 +556,6 @@ def verify_axioms(logic: ConcreteLogic) -> AxiomReport:
     def whole_table(bad: list[int]) -> CheckResult:
         return CheckResult(not bad, n, {"element": bad[0]} if bad else None)
 
-    def order_reversal() -> Iterator[Optional[dict]]:
-        for i, j in zip(lows, highs):
-            ci, cj = comp[i], comp[j]
-            if ci is None or cj is None:
-                yield {"pair": [i, j], "reason": "no complement"}
-            else:
-                yield None if elements[cj] & elements[ci] == elements[cj] else {"pair": [i, j]}
-
-    lows, highs = (arr.tolist() for arr in logic.comparable_pairs())
-    disjoint = zip(*(arr.tolist() for arr in logic.disjoint_pairs()))
-    chain_note = "pairwise unions; chaining covers larger disjoint families"
-    # C3 on pairs: disjoint unions exist, hence (L4) disjoint joins do.
-    c3 = _first_failure(
-        (
-            None if (elements[i] | elements[j]) in index else {"pair": [i, j]}
-            for i, j in disjoint
-        ),
-        chain_note,
-    )
     results = {
         # C1: the empty set belongs to the family.
         "C1": CheckResult(0 in index, 1),
@@ -592,28 +566,50 @@ def verify_axioms(logic: ConcreteLogic) -> AxiomReport:
         "C2": whole_table([i for i, c in enumerate(comp) if c is None]),
         # L3: the complement map is an involution.
         "L3": whole_table([i for i, c in enumerate(comp) if c is None or comp[c] != i]),
-        # L2: complement reverses the order.
-        "L2": _first_failure(order_reversal()),
+    }
+    chain_note = "pairwise unions; chaining covers larger disjoint families"
+    if logic._certified():
+        # bitwise complements reverse the order; q - p = (p | q')' for p below
+        # q; p is below q exactly when p and q' are disjoint, and only the
+        # empty set is disjoint from itself
+        pairs = logic.comparable_count()
+        results["L2"], results["L5"] = CheckResult(True, pairs), CheckResult(True, pairs)
+        c3 = CheckResult(True, (pairs - 1) // 2, None, chain_note)
+    else:
+        # L2: complement reverses the order; where both complements exist,
+        # q' is a subset of p' whenever p is one of q.
+        results["L2"] = _first_failure(
+            {"pair": [i, j], "reason": "no complement"} if None in (comp[i], comp[j]) else None
+            for i, j in logic.comparable_pairs()
+        )
         # L5: below any superset, the set difference is available, which
         # makes q = p v (q ^ p') an identity of set algebra: the difference
         # d is in the table, every lower bound of {q, p'} is a subset of d,
         # and every upper bound of {p, d} contains p|d = q.
-        "L5": _first_failure(
+        results["L5"] = _first_failure(
             None if (elements[j] & ~elements[i]) in index else {"pair": [i, j]}
-            for i, j in zip(lows, highs)
-        ),
-        "C3": c3,
-        "L4": replace(
-            c3,
-            note="disjoint unions found in the table are the least upper bounds; " + chain_note,
-        ),
-    }
+            for i, j in logic.comparable_pairs()
+        )
+        # C3 on pairs: disjoint unions exist, hence (L4) disjoint joins do.
+        c3 = _first_failure(
+            (
+                None if (elements[i] | elements[j]) in index else {"pair": [i, j]}
+                for i, j in logic.disjoint_pairs()
+            ),
+            chain_note,
+        )
+    results["C3"] = c3
+    results["L4"] = replace(
+        c3, note="disjoint unions found in the table are the least upper bounds; " + chain_note
+    )
     return AxiomReport(results)
 
 
 def verify_atomic_coverage(logic: ConcreteLogic) -> CheckResult:
     """Every nonzero element is a disjoint union of atoms, reproduced exactly."""
-
+    if logic._certified():
+        # every nonzero u has the step (u - a, a, u) for each atom a inside it
+        return CheckResult(True, len(logic.elements) - 1)
     # the enumerator only yields disjoint atoms whose union is the element
     return _first_failure(
         None if logic.decomposition(i) is not None else {"element": i, "reason": "no partition"}
@@ -626,9 +622,22 @@ def verify_order_classification(logic: Logic) -> tuple[CheckResult, dict[str, in
     """Classify every (atom, superset) pair; a missing remainder fails the check.
 
     A found remainder is the set difference q - base, so the witness
-    always reassembles q.
+    always reassembles q.  A certified table that holds the one-box
+    pieces of every atom holds each remainder (base | q')', so the cases
+    are counted per atom.
     """
     counts = {kind.value: 0 for kind in OrderKind}
+    pieces = [_one_box_pieces(logic, aid) for aid in logic.atom_ids]
+    if logic._certified() and all(p in logic.index for pair in pieces for p in pair):
+        for k, (left, right) in zip(logic.atom_indices, pieces):
+            above = logic.containing(logic.elements[k]).bit_count()
+            with_left = logic.containing(left)  # the full set among them
+            with_right = (logic.containing(right) & ~with_left).bit_count()
+            counts[OrderKind.TOP.value] += 1
+            counts[OrderKind.LEFT_LOCALIZED.value] += with_left.bit_count() - 1
+            counts[OrderKind.RIGHT_LOCALIZED.value] += with_right
+            counts[OrderKind.ATOM_PLUS_REST.value] += above - with_left.bit_count() - with_right
+        return CheckResult(True, sum(counts.values())), counts
 
     def cases() -> Iterator[Optional[dict]]:
         for atom_index in logic.atom_indices:

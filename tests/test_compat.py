@@ -82,16 +82,14 @@ def test_compatibility_symmetric_reflexive_chsh(chsh_logic):
 
 
 def test_disjoint_elements_compatible(chsh_logic):
-    lefts, rights = chsh_logic.disjoint_pairs()
     empty = chsh_logic.index_of(0)
-    for i, j in zip(lefts.tolist(), rights.tolist()):
+    for i, j in chsh_logic.disjoint_pairs():
         w = bl.are_compatible(chsh_logic, i, j)
         assert w == bl.CompatibilityWitness(i, j, empty)
 
 
 def test_below_implies_compatible_when_difference_exists(chsh_logic):
-    lows, highs = chsh_logic.comparable_pairs()
-    for i, j in zip(lows.tolist(), highs.tolist()):
+    for i, j in chsh_logic.comparable_pairs():
         diff = chsh_logic.elements[j] & ~chsh_logic.elements[i]
         if diff in chsh_logic.index:
             assert bl.are_compatible(chsh_logic, i, j) is not None

@@ -127,15 +127,26 @@ sys.exit(code)
 
 @pytest.mark.parametrize(
     "command",
-    [["export", "json"], ["export", "dot"], ["build"]],
-    ids=["export-json", "export-dot", "build"],
+    [
+        ["export", "json", "CHSH"],
+        ["export", "dot", "CHSH"],
+        ["build", "CHSH"],
+        ["fixtures", "even-set", "--k", "3"],
+        ["export", "dot", "CHSH", "--out", "OUT"],
+    ],
+    ids=["export-json", "export-dot", "build", "fixtures-even-set", "export-dot-out"],
 )
-def test_export_and_build_never_execute_numpy(command):
-    proc = run_cli(NUMPY_UNTOUCHED, *command, str(ROOT / "scenarios" / "chsh.json"))
-    if command[-1] == "dot":
+def test_export_and_build_never_execute_numpy(command, tmp_path):
+    paths = {"CHSH": str(ROOT / "scenarios" / "chsh.json"), "OUT": str(tmp_path)}
+    proc = run_cli(NUMPY_UNTOUCHED, *(paths.get(arg, arg) for arg in command))
+    if command[1] == "dot":
         assert proc.stdout.startswith("digraph")
     else:
         assert json.loads(proc.stdout)
+    if "--out" in command:
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "logic.dot", "pasting_left.dot", "pasting_right.dot"
+        ]
 
 
 def test_verify_bytes_do_not_depend_on_who_imports_numpy():

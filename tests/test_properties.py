@@ -1,13 +1,16 @@
 """Structural invariants over randomized scenarios and elements."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import boxlogic as bl
 from boxlogic import BoxWorldSpec, Side
+
+import oracles
 
 side_sizes = st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2)
 small_scenarios = (
@@ -26,31 +29,83 @@ def _points(sizes):
     return out
 
 
+# the plain-loop oracles walk all element pairs
+ORACLE_ELEMENTS = 1000
+
+
 @lru_cache(maxsize=None)
 def cached_logic(left, right):
     return bl.close_logic(BoxWorldSpec.from_sizes(list(left), list(right)))
+
+
+def _entry(result):
+    return result.passed, result.checked, result.counterexample, result.note
+
+
+def structural_entries(logic):
+    """(axiom entries, atomic coverage entry, (order classification entry, case counts))."""
+    result, counts = bl.verify_order_classification(logic)
+    return (
+        {k: _entry(r) for k, r in bl.verify_axioms(logic).results.items()},
+        _entry(bl.verify_atomic_coverage(logic)),
+        (_entry(result), counts),
+    )
+
+
+def oracle_entries(logic):
+    return (
+        oracles.naive_axiom_entries(logic),
+        oracles.naive_atomic_coverage(logic),
+        oracles.naive_order_classification(logic),
+    )
+
+
+@lru_cache(maxsize=None)
+def cached_oracle_entries(left, right):
+    logic = cached_logic(left, right)
+    return oracle_entries(logic) if len(logic.elements) <= ORACLE_ELEMENTS else None
 
 
 @settings(max_examples=20, deadline=None)
 @given(small_scenarios)
 def test_axioms_hold_on_random_scenarios(shape):
     logic = cached_logic(*shape)
-    assert bl.verify_axioms(logic).all_passed
+    report = bl.verify_axioms(logic)
+    assert report.all_passed
+    if (expected := cached_oracle_entries(*shape)) is not None:
+        assert {k: _entry(r) for k, r in report.results.items()} == expected[0]
 
 
 @settings(max_examples=20, deadline=None)
 @given(small_scenarios)
 def test_every_element_is_disjoint_union_of_atoms(shape):
     logic = cached_logic(*shape)
-    assert bl.verify_atomic_coverage(logic).passed
+    result = bl.verify_atomic_coverage(logic)
+    assert result.passed
+    if (expected := cached_oracle_entries(*shape)) is not None:
+        assert _entry(result) == expected[1]
 
 
 @settings(max_examples=20, deadline=None)
 @given(small_scenarios)
 def test_order_classification_never_fails(shape):
     logic = cached_logic(*shape)
-    result, _ = bl.verify_order_classification(logic)
+    result, counts = bl.verify_order_classification(logic)
     assert result.passed
+    if (expected := cached_oracle_entries(*shape)) is not None:
+        assert (_entry(result), counts) == expected[2]
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_scenarios, st.randoms(use_true_random=False))
+def test_structural_checks_match_oracles_with_one_element_removed(shape, rng):
+    logic = cached_logic(*shape)
+    assume(len(logic.elements) <= ORACLE_ELEMENTS)
+    atoms = set(logic.atom_bits)
+    drop = rng.choice([e for e in logic.elements if e not in atoms])
+    damaged = bl.Logic(logic.gamma, logic.atom_ids, [e for e in logic.elements if e != drop])
+    assert not damaged._certified()  # the complement of the dropped element has none
+    assert structural_entries(damaged) == oracle_entries(damaged)
 
 
 @settings(max_examples=15, deadline=None)
@@ -86,8 +141,7 @@ def test_point_states_respect_order_and_complement(shape, raw_point):
     logic = cached_logic(*shape)
     point = raw_point % logic.ground_size
     rho = bl.point_state(logic, point)
-    lows, highs = logic.comparable_pairs()
-    for i, j in zip(lows.tolist()[:200], highs.tolist()[:200]):
+    for i, j in itertools.islice(logic.comparable_pairs(), 200):
         assert rho.value(i) <= rho.value(j)
     for i in range(len(logic.elements)):
         assert rho.value(i) + rho.value(logic.complement_map[i]) == 1

@@ -205,7 +205,7 @@ def test_verify_scenario_reports_an_invalid_table(chsh_logic, invalid_first_vert
     assert section["vertex_states"] == 24
     assert section["round_trip_failures"] == 0
     # the invalid row is left out of the state checks
-    pairs = len(chsh_logic.comparable_pairs()[0])
+    pairs = len(list(chsh_logic.comparable_pairs()))
     assert section["monotonicity"] == {"ok": True, "checked": 23 * pairs}
     assert section["order_determining"]["states_used"] == 23
 
@@ -292,7 +292,7 @@ def test_additivity_scan_past_int64(chsh_logic):
 def test_monotonicity_scan_past_int64(chsh_logic):
     rho = bl.state_from_pr(chsh_logic, past_int64_mixture(CHSH))
     assert rho.numerators.dtype == object
-    pairs = len(chsh_logic.comparable_pairs()[0])
+    pairs = len(list(chsh_logic.comparable_pairs()))
     assert bl.verify_state_monotonicity(chsh_logic, [rho, rho]) == (True, 2 * pairs)
     nums = list(rho.numerators)
     nums[chsh_logic.index_of(chsh_logic.full_mask)] = 0
@@ -773,26 +773,61 @@ def test_monotonicity_and_additivity_match_all_pairs(request, case):
     assert False in monotone
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("called")
+
+
 @pytest.mark.parametrize(
     "spec, polytope", [(CHSH, "chsh_polytope"), (THREE_INPUT, "three_input_polytope")]
 )
-def test_pair_counts_leave_the_pair_arrays_unbuilt(request, spec, polytope):
+def test_pair_counts_never_walk_the_pairs(request, monkeypatch, spec, polytope):
     hrep, vertex_set = request.getfixturevalue(polytope)
-    prs = bl.vertex_pr_states(hrep, vertex_set)[::40]
-
-    def fresh():
-        logic = bl.close_logic(spec)  # no pair arrays built yet
-        return logic, [bl.state_from_pr(logic, pr) for pr in prs]
-
-    logic, states = fresh()
+    logic = bl.close_logic(spec)
+    states = [bl.state_from_pr(logic, pr) for pr in bl.vertex_pr_states(hrep, vertex_set)[::40]]
     pairs = len(oracles.naive_comparable_pairs(logic.elements))
+    monkeypatch.setattr(bl.ConcreteLogic, "comparable_pairs", _never_called)
     assert bl.verify_state_monotonicity(logic, states) == (True, len(states) * pairs)
-    assert logic._comparable_cache is None
-    logic, states = fresh()
     assert bl.check_order_determining(logic, states).comparable_pairs_skipped == pairs
-    assert logic._comparable_cache is None
-    # the built arrays hold the same number of pairs
-    assert len(logic.comparable_pairs()[0]) == logic.comparable_count() == pairs
+    monkeypatch.undo()
+    # the walked pairs are as many as the count says
+    assert len(list(logic.comparable_pairs())) == logic.comparable_count() == pairs
+
+
+def test_verify_on_a_closed_logic_walks_no_pair_and_classifies_no_element(monkeypatch):
+    for name in ("comparable_pairs", "disjoint_pairs"):
+        monkeypatch.setattr(bl.ConcreteLogic, name, _never_called)
+    monkeypatch.setattr(bl.logic, "classify_above_atom", _never_called)
+    logic = bl.close_logic(CHSH)
+    expected = (
+        oracles.naive_axiom_entries(logic),
+        oracles.naive_atomic_coverage(logic),
+        oracles.naive_order_classification(logic),
+    )
+    entry = lambda r: (r.passed, r.checked, r.counterexample, r.note)
+    with monkeypatch.context() as m:
+        # the localized families check still asks for canonical partitions
+        m.setattr(bl.ConcreteLogic, "decomposition", _never_called)
+        result, counts = bl.verify_order_classification(logic)
+        assert expected == (
+            {k: entry(r) for k, r in bl.verify_axioms(logic).results.items()},
+            entry(bl.verify_atomic_coverage(logic)),
+            (entry(result), counts),
+        )
+    assert bl.verify_scenario(CHSH)["all_passed"]
+
+
+def test_order_determination_skips_the_element_walk_when_every_point_is_certified(
+    monkeypatch, three_input_logic, three_input_vertex_states
+):
+    logic, (states, _) = three_input_logic, three_input_vertex_states
+    assert len(logic.elements) > 128  # past the full-scan limit
+    logic.comparable_count()
+    containing, masks = logic.containing, []
+    monkeypatch.setattr(logic, "containing", lambda bits: masks.append(bits) or containing(bits))
+    report = bl.check_order_determining(logic, states)
+    assert report.ok and report.failures == []
+    # one call per sample point while certifying them, none per element
+    assert masks == [1 << x for x in range(logic.ground_size)]
 
 
 def test_verify_counts_comparable_pairs_once():
@@ -809,6 +844,7 @@ def test_verify_counts_comparable_pairs_once():
 
     logic.comparable_count = counted
     assert bl.verify_scenario(CHSH, logic=logic)["all_passed"]
-    # asked by monotonicity and by order determination, summed over the elements once
-    assert masks_per_call == [len(logic.elements), 0]
-    assert count() == len(logic.comparable_pairs()[0])
+    # asked by the axioms, by monotonicity and by order determination,
+    # summed over the elements once
+    assert masks_per_call == [len(logic.elements), 0, 0]
+    assert count() == len(list(logic.comparable_pairs()))
