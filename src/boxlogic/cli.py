@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .compat import single_box_logic
 from .errors import BoxLogicError, CapExceeded, ScenarioError, StateError
 from .io import (
     canonical_json,
@@ -29,9 +28,10 @@ from .io import (
 )
 from .logic import close_logic, even_set_logic, is_boolean, is_lattice, verify_axioms
 from .polytope import enumerate_vertices, ns_polytope
-from .report import build_summary, default_caps, scenario_hash, verify_scenario
-from .scenario import Side
-from .states import validate_pr_state
+from .scenario import Side, default_caps
+
+# The report, compatibility and state layers are imported by the commands that
+# use them, so that `export` and `fixtures` do not load them.
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -110,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from .report import build_summary
+
     caps = _caps_from_args(args)
     spec = load_scenario(args.scenario)
     summary, logic = build_summary(spec, caps=caps)
@@ -123,6 +125,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .report import verify_scenario
+
     caps = _caps_from_args(args)
     if args.samples < 0:
         raise ScenarioError("--samples must be zero or positive")
@@ -148,6 +152,9 @@ def cmd_states_vertices(args: argparse.Namespace) -> int:
 
 
 def cmd_states_check(args: argparse.Namespace) -> int:
+    from .report import scenario_hash
+    from .states import validate_pr_state
+
     spec = load_scenario(args.scenario)
     pr = load_pr_state(args.statefile, spec)
     violations = validate_pr_state(pr)
@@ -166,16 +173,19 @@ def cmd_export(args: argparse.Namespace) -> int:
     spec = load_scenario(args.scenario)
     logic = close_logic(spec, closure_cap=caps["closure"], gamma_cap=caps["gamma"])
     if args.format == "json":
-        hrep = ns_polytope(spec, var_cap=caps["polytope_variables"])
+        hrep = ns_polytope(spec, var_cap=caps["polytope_variables"])  # a cap on it exits 3
         text = canonical_json(logic_to_dict(logic))
         print(text, end="")
         _emit(text, args.out, "logic.json")
-        _emit(canonical_json(hrep_to_dict(hrep)), args.out, "hrep.json")
+        if args.out is not None:
+            _emit(canonical_json(hrep_to_dict(hrep)), args.out, "hrep.json")
     elif args.format == "dot":
         text = logic_to_dot(logic)
         print(text, end="")
         _emit(text, args.out, "logic.dot")
         if args.out is not None:
+            from .compat import single_box_logic
+
             for side in (Side.LEFT, Side.RIGHT):
                 _, pasting = single_box_logic(logic.gamma, side, big_logic=logic)
                 _emit(pasting_to_dot(pasting), args.out, f"pasting_{side.value}.dot")

@@ -44,13 +44,16 @@ def are_compatible(logic: ConcreteLogic, i: int, j: int) -> Optional[Compatibili
     """
     logic._check(i)
     logic._check(j)
-    p, q = logic.elements[i], logic.elements[j]
-    shared = logic.index.get(p & q)
-    only_p = logic.index.get(p & ~q)
-    only_q = logic.index.get(q & ~p)
-    if shared is None or only_p is None or only_q is None:
+    p, q, index = logic.elements[i], logic.elements[j], logic.index
+    if not _compatible_bits(index, p, q):
         return None
-    return CompatibilityWitness(only_p, only_q, shared)
+    return CompatibilityWitness(index[p & ~q], index[q & ~p], index[p & q])
+
+
+def _compatible_bits(index: dict[int, int], p: int, q: int) -> bool:
+    """Whether the intersection and both differences of the sets p and q are
+    in the table ``index``: ``are_compatible``'s test, without a witness."""
+    return p & q in index and p & ~q in index and q & ~p in index
 
 
 def is_compatible_set(

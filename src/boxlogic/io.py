@@ -13,14 +13,16 @@ import json
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .compat import PastingReport
 from .errors import ScenarioError, StateError
 from .logic import ConcreteLogic, Logic
-from .polytope import HRep, VertexSet
 from .scenario import BoxWorldSpec
-from .states import PRState, _as_fraction
+
+if TYPE_CHECKING:  # annotations only: the two readers of tables import states themselves
+    from .compat import PastingReport
+    from .polytope import HRep, VertexSet
+    from .states import PRState
 
 PathLike = Union[str, Path]
 
@@ -34,6 +36,8 @@ def parse_fraction(text) -> Fraction:
     if isinstance(text, float):
         raise StateError(f"float {text!r} rejected; write rationals as 'p/q'")
     if isinstance(text, (int, str)):
+        from .states import _as_fraction
+
         return _as_fraction(text)
     raise StateError(f"cannot read a rational from {text!r}")
 
@@ -122,15 +126,16 @@ def save_scenario(spec: BoxWorldSpec, path: PathLike) -> None:
     Path(path).write_text(canonical_json(spec.to_dict()), encoding="utf-8")
 
 
-def hex_bits(bits: int, ground_size: int) -> str:
-    width = max(1, (ground_size + 3) // 4)
-    return f"{bits:0{width}x}"
+def hex_format(ground_size: int) -> str:
+    """Format spec of a bit vector over ``ground_size`` points: fixed-width hex."""
+    return f"0{max(1, (ground_size + 3) // 4)}x"
 
 
 def logic_to_dict(logic: ConcreteLogic) -> dict:
+    spec = hex_format(logic.ground_size)
     data = {
         "ground_size": logic.ground_size,
-        "elements": [hex_bits(e, logic.ground_size) for e in logic.elements],
+        "elements": [format(e, spec) for e in logic.elements],
         "complement": list(logic.complement_map),
         "atoms": list(logic.atom_indices),
         "covers": logic.covers(),
@@ -146,9 +151,9 @@ def logic_to_dict(logic: ConcreteLogic) -> dict:
 
 def logic_to_dot(logic: ConcreteLogic) -> str:
     lines = ["digraph logic {", "  rankdir=BT;"]
+    spec = hex_format(logic.ground_size)
     for i, e in enumerate(logic.elements):
-        label = f"{i}:{hex_bits(e, logic.ground_size)}"
-        lines.append(f'  n{i} [label="{label}"];')
+        lines.append(f'  n{i} [label="{i}:{e:{spec}}"];')
     for i, j in logic.covers():
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
@@ -177,6 +182,8 @@ def pr_state_to_dict(pr: PRState) -> dict:
 
 
 def pr_state_from_dict(spec: BoxWorldSpec, data: dict) -> PRState:
+    from .states import PRState
+
     if not isinstance(data, dict):
         raise StateError("state file must hold a JSON object of blocks")
 

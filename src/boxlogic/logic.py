@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import (
     ClosureBudgetExceeded,
@@ -39,10 +39,9 @@ from .scenario import (
     all_atom_ids,
     build_gamma,
     make_atom,
+    DEFAULT_CLOSURE_CAP,
     DEFAULT_GAMMA_CAP,
 )
-
-DEFAULT_CLOSURE_CAP = 10**6
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
@@ -87,7 +86,7 @@ class ConcreteLogic:
         for e in uniq:
             if e & ~self.full_mask:
                 raise ScenarioError("element has bits outside the ground set")
-        ordered = sorted(uniq, key=lambda e: (e.bit_count(), e))
+        ordered = sorted(sorted(uniq), key=int.bit_count)  # stable: by (popcount, value)
         if self.full_mask in uniq and len(ordered) > 1:
             ordered.remove(self.full_mask)
             ordered.insert(1 if ordered[0] == 0 else 0, self.full_mask)
@@ -214,7 +213,7 @@ class ConcreteLogic:
         self._check(i)
         self._check(j)
         s = self.elements[i] | self.elements[j]
-        if all(c is not None for c in self.complement_map):
+        if None not in self.complement_map:
             m = self.index.get(self._downset_union(s ^ self.full_mask))
             return None if m is None else self.complement_map[m]
         # fall back for tables that are not complement-closed
@@ -278,30 +277,47 @@ class ConcreteLogic:
         """(i, atom element, index of element i | atom), for each element i
         and atom disjoint from it, in (i, upper) order.
 
-        Raises TheoremViolation unless every element has its complement, the
-        atoms are the minimal nonzero elements and every step lands in the
-        table.  These certify closure under disjoint union: e - a = (e' | a)'
-        strips the atoms of e one at a time, and steps add them to any p.
+        Raises TheoremViolation, when the walk reaches the first element that
+        breaks it, unless every element has its complement, the atoms are the
+        minimal nonzero elements and every step lands in the table.  These
+        certify closure under disjoint union: e - a = (e' | a)' strips the
+        atoms of e one at a time, and steps add them to any p.  With the
+        complements present, the atoms are the minimal nonzero elements
+        exactly when they are nonzero, none strictly contains another, and
+        every element but the full set has a step: a nonzero m has an atom
+        inside it, the one of a step of m', and so is an atom if minimal, and
+        not minimal if it strictly contains an atom.
         """
         if None in self.complement_map:
             missing = self.complement_map.index(None)
             raise TheoremViolation(f"element {missing} has no complement in the table")
+        atoms = self.atom_bits
+        if 0 in atoms or any(b & a == b != a for a in atoms for b in atoms):
+            self._refuse_steps()
+        index, full = self.index, self.full_mask
+        pairs = list(zip(atoms, self.atom_indices))
+        for i, e in enumerate(self.elements):
+            # distinct atoms disjoint from e have distinct unions with it
+            steps = sorted([(index.get(e | a, -1), k) for a, k in pairs if not e & a])
+            # a missing union sorts first, as -1; only the full set has no step
+            if steps[0][0] < 0 if steps else e != full:
+                self._refuse_steps(i)
+            for upper, k in steps:
+                yield i, k, upper
+
+    def _refuse_steps(self, i: Optional[int] = None) -> NoReturn:
+        """Raise the step walk's TheoremViolation, once it has found that the
+        atoms, or else element i, break the certificate; the atoms are then
+        checked first, as before any step."""
         stray = set(self.atom_bits) ^ set(_minimal_nonzero(self.elements))
         if stray:
             i = min(map(self.index.get, stray))
             raise TheoremViolation(f"element {i} is either an atom or minimal nonzero, not both")
-        for i, e in enumerate(self.elements):
-            steps = []
-            for a, k in zip(self.atom_bits, self.atom_indices):
-                if not e & a:
-                    upper = self.index.get(e | a)
-                    if upper is None:
-                        raise TheoremViolation(
-                            f"disjoint element {i} and atom {k} have no union in the table"
-                        )
-                    steps.append((upper, k))
-            for upper, k in sorted(steps):
-                yield i, k, upper
+        e = self.elements[i]
+        k = next(
+            k for a, k in zip(self.atom_bits, self.atom_indices) if not e & a and e | a not in self.index
+        )
+        raise TheoremViolation(f"disjoint element {i} and atom {k} have no union in the table")
 
     def _certified(self) -> bool:
         """Closed under complement and disjoint union, with the minimal nonzero
@@ -373,10 +389,14 @@ def _close_family(ground_size: int, seeds: Iterable[int], *, cap: int) -> set[in
     family is closed: a nonzero q contains some s in S, q - s = (q' | s)'
     is a member, and for p disjoint from q, p | q = (p | s) | (q - s)
     with p | s a member, so induction on |q| gives every disjoint union.
-    Otherwise the missing minimal members join S and the walk runs again.
-    Every step is a complement or a disjoint union of members, so the
-    family never outgrows the closure, and ClosureBudgetExceeded is raised
-    exactly when the closure has more than ``cap`` elements.
+    The fixed point is closed under complement, so S holds every minimal
+    nonzero member exactly when every member but the full set has a step
+    disjoint from it: a minimal m then holds the step of m', and a member
+    without one has a complement whose minimal members are missing from S.
+    Those missing members join S and the walk runs again.  Every step is a
+    complement or a disjoint union of members, so the family never outgrows
+    the closure, and ClosureBudgetExceeded is raised exactly when the
+    closure has more than ``cap`` elements.
     """
     full = (1 << ground_size) - 1
     members: list[int] = []
@@ -394,14 +414,17 @@ def _close_family(ground_size: int, seeds: Iterable[int], *, cap: int) -> set[in
         add(e)
     steps = [e for e in members if e]
     while True:
+        stepless = False
         for e in members:  # the list grows while it is walked: a work queue
-            for u in (e ^ full, *(e | s for s in steps if not e & s)):
+            unions = [e | s for s in steps if not e & s]
+            if not unions and e != full:
+                stepless = True
+            for u in (e ^ full, *unions):
                 if u not in known:
                     add(u)
-        missing = set(_minimal_nonzero(members)).difference(steps)
-        if not missing:
+        if not stepless:
             return known
-        steps += sorted(missing)
+        steps += sorted(set(_minimal_nonzero(members)).difference(steps))
 
 
 def close_logic(

@@ -32,9 +32,8 @@ from math import gcd, lcm
 
 from .errors import BoxLogicError, VariableCapExceeded
 from .linalg import _exact_dtype, eliminate, gcd_reduce, np, solve_affine
-from .scenario import AtomId, BoxWorldSpec, all_atom_ids
+from .scenario import DEFAULT_VARIABLE_CAP, AtomId, BoxWorldSpec, all_atom_ids
 
-DEFAULT_VARIABLE_CAP = 200
 # entries of each temporary in a block of the sweep's pair tests (at least one row)
 _BLOCK_ENTRIES = 1 << 14
 

@@ -7,10 +7,9 @@ import json
 from typing import Optional
 
 from . import __version__
-from .compat import single_box_logic, verify_localized_propositions
+from .compat import _compatible_bits, single_box_logic, verify_localized_propositions
 from .errors import CapExceeded
 from .logic import (
-    DEFAULT_CLOSURE_CAP,
     Logic,
     close_logic,
     disjoint_atom_union_report,
@@ -20,8 +19,8 @@ from .logic import (
     verify_axioms,
     verify_order_classification,
 )
-from .polytope import DEFAULT_VARIABLE_CAP, HRep, VertexSet, enumerate_vertices, ns_polytope
-from .scenario import DEFAULT_GAMMA_CAP, AtomId, BoxWorldSpec, Side
+from .polytope import HRep, VertexSet, enumerate_vertices, ns_polytope
+from .scenario import AtomId, BoxWorldSpec, Side, default_caps
 from .states import (
     PRState,
     check_order_determining,
@@ -36,14 +35,6 @@ DEFAULT_SAMPLE_COUNT = 100
 def scenario_hash(spec: BoxWorldSpec) -> str:
     blob = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def default_caps() -> dict:
-    return {
-        "gamma": DEFAULT_GAMMA_CAP,
-        "closure": DEFAULT_CLOSURE_CAP,
-        "polytope_variables": DEFAULT_VARIABLE_CAP,
-    }
 
 
 def _header(spec: BoxWorldSpec, caps: dict, seed: Optional[int], logic: Logic) -> dict:
@@ -178,10 +169,7 @@ def _compatibility_survey(
     """How often arbitrary element pairs are compatible; reported, not asserted."""
     import random
 
-    from .compat import are_compatible
-
     n = len(logic.elements)
-    compatible = 0
     if n <= exhaustive_limit:
         mode = "exhaustive"
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -191,9 +179,8 @@ def _compatibility_survey(
         pairs = [
             (rng.randrange(n), rng.randrange(n)) for _ in range(sample_pairs)
         ]
-    for i, j in pairs:
-        if are_compatible(logic, i, j) is not None:
-            compatible += 1
+    elements, index = logic.elements, logic.index
+    compatible = sum(_compatible_bits(index, elements[i], elements[j]) for i, j in pairs)
     return {
         "mode": mode,
         "pairs": len(pairs),

@@ -17,7 +17,20 @@ from typing import Iterator, Sequence
 
 from .errors import GammaCapExceeded, ScenarioError
 
+# Resource caps of one run, each enforced where its object is built: sample
+# points by build_gamma, logic elements by logic.close_logic, and table
+# variables by polytope.ns_polytope.
 DEFAULT_GAMMA_CAP = 2**20
+DEFAULT_CLOSURE_CAP = 10**6
+DEFAULT_VARIABLE_CAP = 200
+
+
+def default_caps() -> dict:
+    return {
+        "gamma": DEFAULT_GAMMA_CAP,
+        "closure": DEFAULT_CLOSURE_CAP,
+        "polytope_variables": DEFAULT_VARIABLE_CAP,
+    }
 
 
 class Side(Enum):

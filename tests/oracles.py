@@ -328,6 +328,24 @@ def naive_minimal_nonzero(elements) -> list:
     ]
 
 
+def naive_step_refusal(logic):
+    """The message of the atom-step walk's TheoremViolation, or None when it
+    passes: every complement, then the atoms against the minimal nonzero
+    elements, then the union of each element with each atom disjoint from it."""
+    index, full = logic.index, logic.full_mask
+    for i, e in enumerate(logic.elements):
+        if e ^ full not in index:
+            return f"element {i} has no complement in the table"
+    stray = set(logic.atom_bits) ^ set(naive_minimal_nonzero(logic.elements))
+    if stray:
+        return f"element {min(index[e] for e in stray)} is either an atom or minimal nonzero, not both"
+    for i, e in enumerate(logic.elements):
+        for a, k in zip(logic.atom_bits, logic.atom_indices):
+            if not e & a and e | a not in index:
+                return f"disjoint element {i} and atom {k} have no union in the table"
+    return None
+
+
 def naive_monotone(elements, values) -> bool:
     """value(p) <= value(q) on every comparable pair p <= q."""
     return all(values[i] <= values[j] for i, j in naive_comparable_pairs(elements))

@@ -254,3 +254,25 @@ def test_verify_invalid_own_table_is_a_failed_claim(chsh_file, capsys, invalid_f
     report = json.loads(out)
     assert report["state_correspondence"]["all_tables_valid"] is False
     assert report["all_passed"] is False
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out-dir"])
+def test_export_json_variable_cap_exits_before_printing(chsh_file, capsys, tmp_path, with_out):
+    out_dir = tmp_path / "artifacts"
+    argv = ["export", "json", chsh_file, "--cap-vars", "1"]
+    code, out, err = run(capsys, argv + (["--out", str(out_dir)] if with_out else []))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cap exceeded:")
+    assert not out_dir.exists()
+
+
+def test_export_json_writes_the_hrep_only_with_an_out_dir(chsh_file, capsys, tmp_path, monkeypatch):
+    serialised = []
+    monkeypatch.setattr("boxlogic.cli.hrep_to_dict", lambda hrep: serialised.append(hrep) or {})
+    code, plain, _ = run(capsys, ["export", "json", chsh_file])
+    assert (code, serialised) == (0, [])
+    out_dir = tmp_path / "artifacts"
+    code, written, _ = run(capsys, ["export", "json", chsh_file, "--out", str(out_dir)])
+    assert code == 0 and written == plain and len(serialised) == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["hrep.json", "logic.json"]

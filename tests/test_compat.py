@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import boxlogic as bl
 from boxlogic import AtomId, BoxWorldSpec, LocalizedSpec, Side
+from boxlogic.report import _compatibility_survey
 
 
 def loc_index(logic, side, input_index, outcomes):
@@ -251,3 +254,33 @@ def test_localized_meet_join_case_table(chsh_logic):
     report = bl.verify_localized_propositions(chsh_logic)
     assert report.meet_join_table.passed
     assert report.meet_join_table.checked > 0
+
+
+# 011 and 110 meet in 010 and 011 - 110 = 001 is in the table, but 110 - 011 = 100 is not
+UNCLOSED = bl.ConcreteLogic(3, [0, 0b001, 0b010, 0b011, 0b110, 0b111])
+
+
+@pytest.mark.parametrize(
+    "table, limit",
+    [("chsh", 600), ("chsh", 10), ("unclosed", 600)],
+    ids=["exhaustive", "seeded_sample", "unclosed_table"],
+)
+def test_compatibility_survey_counts_the_defining_search(chsh_logic, table, limit):
+    logic = chsh_logic if table == "chsh" else UNCLOSED
+    survey = _compatibility_survey(logic, 7, exhaustive_limit=limit, sample_pairs=500)
+    n = len(logic.elements)
+    if limit >= n:
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        rng = random.Random(7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
+    found = [scan_first_witness(logic, i, j) for i, j in pairs]
+    assert found == [bl.are_compatible(logic, i, j) for i, j in pairs]
+    compatible = sum(w is not None for w in found)
+    assert survey == {
+        "mode": "exhaustive" if limit >= n else "seeded_sample",
+        "pairs": len(pairs),
+        "compatible": compatible,
+        "incompatible": len(pairs) - compatible,
+    }
+    assert 0 < compatible < len(pairs)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boxlogic.io import canonical_json, logic_to_dict
+import boxlogic as bl
+from boxlogic.io import canonical_json, logic_to_dict, logic_to_dot
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,6 +110,16 @@ def test_logic_export_writes_covers_as_lists(chsh_logic):
     assert json.loads(canonical_json(data))["covers"] == [list(e) for e in chsh_logic.covers()]
 
 
+@pytest.mark.parametrize("ground", [1, 4, 5, 7, 81])
+def test_elements_print_as_fixed_width_hex(ground):
+    full = (1 << ground) - 1
+    logic = bl.ConcreteLogic(ground, [0, 1, full ^ 1, full])
+    width = -(-ground // 4)  # one hex digit per four points, rounded up
+    assert logic_to_dict(logic)["elements"] == [f"{e:0{width}x}" for e in logic.elements]
+    labels = [line for line in logic_to_dot(logic).splitlines() if "label" in line]
+    assert labels == [f'  n{i} [label="{i}:{e:0{width}x}"];' for i, e in enumerate(logic.elements)]
+
+
 def run_cli(code: str, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
@@ -119,26 +130,30 @@ def run_cli(code: str, *args: str) -> subprocess.CompletedProcess:
 NUMPY_UNTOUCHED = """
 import sys
 from boxlogic import cli
-code = cli.main(sys.argv[1:])
+code = cli.main(sys.argv[2:])
 assert "numpy._core" not in sys.modules, "numpy was executed"
+imported = [name for name in sys.argv[1].split(",") if name in sys.modules]
+assert not imported, f"{imported} imported"
 sys.exit(code)
 """
+# the layers that `export json|dot` and `fixtures` leave unimported
+LEAN_UNUSED = "boxlogic.compat,boxlogic.states,boxlogic.report,boxlogic.observables"
 
 
 @pytest.mark.parametrize(
-    "command",
+    "command, unused",
     [
-        ["export", "json", "CHSH"],
-        ["export", "dot", "CHSH"],
-        ["build", "CHSH"],
-        ["fixtures", "even-set", "--k", "3"],
-        ["export", "dot", "CHSH", "--out", "OUT"],
+        (["export", "json", "CHSH"], LEAN_UNUSED),
+        (["export", "dot", "CHSH"], LEAN_UNUSED),
+        (["build", "CHSH"], ""),
+        (["fixtures", "even-set", "--k", "3"], LEAN_UNUSED),
+        (["export", "dot", "CHSH", "--out", "OUT"], ""),
     ],
     ids=["export-json", "export-dot", "build", "fixtures-even-set", "export-dot-out"],
 )
-def test_export_and_build_never_execute_numpy(command, tmp_path):
+def test_export_and_build_never_execute_numpy(command, unused, tmp_path):
     paths = {"CHSH": str(ROOT / "scenarios" / "chsh.json"), "OUT": str(tmp_path)}
-    proc = run_cli(NUMPY_UNTOUCHED, *(paths.get(arg, arg) for arg in command))
+    proc = run_cli(NUMPY_UNTOUCHED, unused, *(paths.get(arg, arg) for arg in command))
     if command[1] == "dot":
         assert proc.stdout.startswith("digraph")
     else:

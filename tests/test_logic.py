@@ -1,3 +1,4 @@
+import collections
 import itertools
 import operator
 import random
@@ -114,11 +115,10 @@ def _record_certificates(monkeypatch) -> list:
 def test_closure_grows_its_step_set(monkeypatch, seeds, grown):
     certificates = _record_certificates(monkeypatch)
     assert _close_family(4, seeds, cap=100) == oracles.naive_closure(4, seeds)
-    # the first fixed point lacks minimal members among the steps; the
-    # walk with them added reaches the certified closure
-    assert len(certificates) == 2
+    # the first fixed point has a member with no step, so the minimal members
+    # are looked up once; with them added, every member but the full set has one
+    assert len(certificates) == 1
     assert sorted(set(certificates[0]) - set(seeds)) == grown
-    assert certificates[1] == certificates[0]
 
 
 @pytest.mark.parametrize("spec", [CHSH, THREE_INPUT], ids=["chsh", "three_input"])
@@ -126,8 +126,10 @@ def test_closure_of_scenario_atoms_walks_once(monkeypatch, spec):
     g = bl.build_gamma(spec)
     atoms = [bl.make_atom(g, aid) for aid in bl.all_atom_ids(spec)]
     certificates = _record_certificates(monkeypatch)
-    _close_family(g.gamma_size, atoms, cap=10**6)
-    assert certificates == [sorted(atoms, key=lambda a: (a.bit_count(), a))]
+    closed = _close_family(g.gamma_size, atoms, cap=10**6)
+    # every member but the full set has an atom step: no minimal-member sweep
+    assert certificates == []
+    assert sorted(oracles.naive_minimal_nonzero(closed)) == sorted(atoms)
 
 
 @pytest.mark.parametrize(
@@ -555,9 +557,52 @@ def test_covers_match_naive_covers(name):
         (4, [0, 0b0001, 0b1110, 0b0011, 0b1100, 0b1111], None, "element 2 and atom 4 have no"),
         # the atom given, the full set (index 1), is not minimal
         (2, range(4), [0b11], "element 1 is either an atom or minimal nonzero"),
+        # the empty set (index 0) given as an atom
+        (3, range(8), [0, 0b001, 0b010, 0b100], "element 0 is either an atom or minimal nonzero"),
+        # nested atoms: 011 (index 5) contains the atom 001
+        (3, range(8), [0b001, 0b010, 0b100, 0b011], "element 5 is either an atom or minimal nonzero"),
+        # 0011 is not minimal, and neither 0001 (index 2) nor 0010 is an atom
+        (4, range(16), [0b0011, 0b0100, 0b1000], "element 2 is either an atom or minimal nonzero"),
+        # the minimal 100 (index 4) is not an atom, so 011 has no step
+        (3, range(8), [0b001, 0b010], "element 4 is either an atom or minimal nonzero"),
+        # the walk meets the missing 0001 | 1010 first, but the minimal 0001
+        # (index 2) is no atom, and the atoms are reported first
+        (4, [0, 0b0001, 0b0101, 0b1010, 0b1110, 0b1111], [0b1010], "element 2 is either an atom"),
     ],
 )
 def test_covers_refuse_a_table_that_is_not_closed(ground, elements, atom_bits, message):
     logic = bl.ConcreteLogic(ground, elements, atom_bits=atom_bits)
+    assert message in oracles.naive_step_refusal(logic)
     with pytest.raises(bl.TheoremViolation, match=message):
         logic.covers()
+    assert not logic._certified()
+
+
+def test_step_walk_refuses_as_the_naive_checks_do():
+    """Seeded small tables, complement-closed or not, with the minimal
+    nonzero elements or random members as atoms: ``covers()`` raises the
+    message of the first failing check in the order complements, atoms,
+    unions, or else gives the naive covers."""
+    rng = random.Random(14)
+    outcomes = collections.Counter()
+    for _ in range(1500):
+        ground = rng.choice([2, 3, 4])
+        full = (1 << ground) - 1
+        elements = set(rng.sample(range(full + 1), rng.randint(1, full + 1)))
+        if rng.random() < 0.8:
+            elements |= {e ^ full for e in elements}
+        atom_bits = None
+        if rng.random() < 0.6:
+            atom_bits = rng.sample(sorted(elements), rng.randint(1, min(5, len(elements))))
+        logic = bl.ConcreteLogic(ground, elements, atom_bits=atom_bits)
+        expected = oracles.naive_step_refusal(logic)
+        if expected is None:
+            assert logic.covers() == oracles.naive_covers(logic.elements)
+        else:
+            with pytest.raises(bl.TheoremViolation) as refused:
+                logic.covers()
+            assert str(refused.value) == expected
+        assert logic._certified() == (expected is None and 0 in logic.index)
+        outcomes[(expected or "passes").split()[-1]] += 1
+    # every kind of refusal, and passing tables, are drawn
+    assert set(outcomes) == {"passes", "table", "both"} and min(outcomes.values()) > 100
