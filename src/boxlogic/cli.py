@@ -8,7 +8,6 @@ structural property that should hold for every scenario fails.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -231,10 +230,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "fixtures":
             return cmd_fixtures_even_set(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ScenarioError, StateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, StateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except CapExceeded as exc:

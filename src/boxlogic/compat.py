@@ -13,14 +13,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceeded, TheoremViolation
 from .logic import CheckResult, ConcreteLogic, Logic, _first_failure, is_lattice, verify_axioms
-from .scenario import GammaIndex, Side
+from .scenario import GammaIndex, LocalizedSpec, Side, make_localized
 
 DEFAULT_SET_BOUND = 12
 DEFAULT_BLOCK_LIMIT = 14
+# verify_localized_propositions checks one-box families of up to this many
+# propositions per box
+_FAMILY_BOUND = 2
 
 
 @dataclass(frozen=True)
@@ -226,13 +229,6 @@ class PastingReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def localized_bits(gamma: GammaIndex, side: Side, input_index: int, outcomes: Iterable[int]) -> int:
-    out = 0
-    for o in outcomes:
-        out |= gamma.outcome_mask(side, input_index, o)
-    return out
-
-
 def single_box_logic(
     gamma: GammaIndex,
     side: Side,
@@ -251,7 +247,7 @@ def single_box_logic(
     for a, size in enumerate(sizes):
         for r in range(1, (1 << size) - 1):
             outcomes = [o for o in range(size) if r & (1 << o)]
-            elements.add(localized_bits(gamma, side, a, outcomes))
+            elements.add(make_localized(gamma, LocalizedSpec(side, a, outcomes)))
     box = ConcreteLogic(gamma.gamma_size, elements)
     expected = sum((1 << s) - 2 for s in sizes) + 2
 
@@ -262,7 +258,7 @@ def single_box_logic(
         table = []
         for r in range(1 << size):
             outcomes = [o for o in range(size) if r & (1 << o)]
-            bits = localized_bits(gamma, side, a, outcomes) if outcomes else 0
+            bits = make_localized(gamma, LocalizedSpec(side, a, outcomes)) if outcomes else 0
             table.append(box.index_of(bits))
         block_tables.append(table)
         nontrivial_blocks.append(
@@ -332,7 +328,7 @@ def enumerate_localized(
             if proper_only and r == top:
                 continue
             outcomes = tuple(o for o in range(size) if r & (1 << o))
-            bits = localized_bits(logic.gamma, side, a, outcomes)
+            bits = make_localized(logic.gamma, LocalizedSpec(side, a, outcomes))
             out.append((a, outcomes, logic.index_of(bits)))
     return out
 
@@ -370,9 +366,8 @@ def localized_family_partition(
     right_rest = [o for o in range(rb) if o not in set(right_union)]
 
     def rectangle(left_outcomes: Sequence[int], right_outcomes: Sequence[int]) -> int:
-        lmask = localized_bits(gamma, Side.LEFT, a, left_outcomes)
-        rmask = localized_bits(gamma, Side.RIGHT, b, right_outcomes)
-        return lmask & rmask
+        lmask = make_localized(gamma, LocalizedSpec(Side.LEFT, a, left_outcomes))
+        return lmask & make_localized(gamma, LocalizedSpec(Side.RIGHT, b, right_outcomes))
 
     pieces: list[int] = []
     for lg in left_groups:
@@ -392,10 +387,9 @@ def localized_family_partition(
             return None
         family.append(idx)
     inputs = [
-        logic.index_of(localized_bits(gamma, Side.LEFT, a, sub)) for sub in left_subsets
-    ] + [
-        logic.index_of(localized_bits(gamma, Side.RIGHT, b, sub))
-        for sub in right_subsets
+        logic.index_of(make_localized(gamma, LocalizedSpec(side, k, sub)))
+        for side, k, subsets in ((Side.LEFT, a, left_subsets), (Side.RIGHT, b, right_subsets))
+        for sub in subsets
     ]
     ok = verify_generating_family(logic, inputs, family)
     return tuple(sorted(family)), ok
@@ -422,9 +416,7 @@ class LocalizedReport:
         return {**asdict(self), "all_passed": self.all_passed}
 
 
-def verify_localized_propositions(
-    logic: Logic, *, family_bound: int = 2
-) -> LocalizedReport:
+def verify_localized_propositions(logic: Logic) -> LocalizedReport:
     """Exhaustive checks of one-box compatibility structure.
 
     Cross-side pairs must be compatible, with the rectangle split as
@@ -472,7 +464,7 @@ def verify_localized_propositions(
             for side in Side
         }
         for (a, lefts), (b, rights) in itertools.product(*by_input.values()):
-            for k, l in itertools.product(range(family_bound + 1), repeat=2):
+            for k, l in itertools.product(range(_FAMILY_BOUND + 1), repeat=2):
                 if k + l < 2:
                     continue
                 for lchoice, rchoice in itertools.product(
@@ -498,8 +490,8 @@ def verify_localized_propositions(
                 want = (logic.index.get(0), logic.index.get(logic.full_mask))
             else:
                 want = tuple(
-                    logic.index.get(localized_bits(gamma, side, a1, outcomes))
-                    for outcomes in (set(P) & set(Q), set(P) | set(Q))
+                    logic.index.get(make_localized(gamma, LocalizedSpec(side, a1, o)) if o else 0)
+                    for o in (set(P) & set(Q), set(P) | set(Q))
                 )
             got = (logic.meet(i1, i2), logic.join(i1, i2))
             yield None if None not in want and got == want else where

@@ -15,7 +15,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
 
-from .errors import ScenarioError, StateError
+from .errors import BoxLogicError, ScenarioError, StateError
 from .logic import ConcreteLogic, Logic
 from .scenario import BoxWorldSpec
 
@@ -114,12 +114,20 @@ def _row_width(rows, kinds: set) -> int:
     return widths.pop()
 
 
-def load_scenario(path: PathLike) -> BoxWorldSpec:
+def _read_json(path: PathLike, error: type[BoxLogicError], what: str):
+    """The decoded JSON of a UTF-8 file; a file that does not decode raises ``error``.
+
+    ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+    the interpreter's digit limit; deep nesting raises RecursionError.
+    """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    return BoxWorldSpec.from_dict(raw)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_scenario(path: PathLike) -> BoxWorldSpec:
+    return BoxWorldSpec.from_dict(_read_json(path, ScenarioError, "scenario"))
 
 
 def save_scenario(spec: BoxWorldSpec, path: PathLike) -> None:
@@ -182,32 +190,38 @@ def pr_state_to_dict(pr: PRState) -> dict:
 
 
 def pr_state_from_dict(spec: BoxWorldSpec, data: dict) -> PRState:
+    """A table from its blocks: one ``la x rb`` matrix per input pair "a,b".
+
+    A key that is not an input pair of the scenario, a missing block and a
+    block of another shape are refused, each naming the block.
+    """
     from .states import PRState
 
     if not isinstance(data, dict):
         raise StateError("state file must hold a JSON object of blocks")
-
-    def fn(a, b, alpha, beta):
-        key = f"{a},{b}"
+    shapes = {
+        f"{a},{b}": (la, rb)
+        for a, la in enumerate(spec.left_sizes)
+        for b, rb in enumerate(spec.right_sizes)
+    }
+    for key in data:
+        if key not in shapes:
+            raise StateError(f"block {key!r} is not an input pair of the scenario")
+    for key, (la, rb) in shapes.items():
         if key not in data:
             raise StateError(f"missing block {key!r} in state file")
         block = data[key]
         if not isinstance(block, list) or not all(isinstance(row, list) for row in block):
             raise StateError(f"block {key!r} must be a list of lists")
-        try:
-            return parse_fraction(block[alpha][beta])
-        except (IndexError, TypeError) as exc:
-            raise StateError(f"missing entry {(a, b, alpha, beta)}") from exc
-
-    return PRState.from_function(spec, fn)
+        if len(block) != la or any(len(row) != rb for row in block):
+            raise StateError(f"block {key!r} must be a {la} x {rb} matrix")
+    return PRState.from_function(
+        spec, lambda a, b, alpha, beta: parse_fraction(data[f"{a},{b}"][alpha][beta])
+    )
 
 
 def load_pr_state(path: PathLike, spec: BoxWorldSpec) -> PRState:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise StateError(f"state file is not valid JSON: {exc}") from exc
-    return pr_state_from_dict(spec, raw)
+    return pr_state_from_dict(spec, _read_json(path, StateError, "state"))
 
 
 def save_pr_state(pr: PRState, path: PathLike) -> None:

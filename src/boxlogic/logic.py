@@ -444,11 +444,11 @@ def close_logic(
 DEFAULT_EVEN_SET_CAP = 6
 
 
-def even_set_logic(k: int, *, k_cap: int = DEFAULT_EVEN_SET_CAP) -> EvenSetLogic:
+def even_set_logic(k: int) -> EvenSetLogic:
     if k < 1:
         raise ScenarioError("k must be at least 1")
-    if k > k_cap:
-        raise ClosureBudgetExceeded(f"k={k} above the cap of {k_cap}")
+    if k > DEFAULT_EVEN_SET_CAP:
+        raise ClosureBudgetExceeded(f"k={k} above the cap of {DEFAULT_EVEN_SET_CAP}")
     return EvenSetLogic(k)
 
 
@@ -703,12 +703,17 @@ def disjoint_atom_union_report(logic: ConcreteLogic) -> dict:
     }
 
 
-def is_lattice(logic: ConcreteLogic, *, full_limit: int = 4000) -> Optional[bool]:
+# the largest tables whose lattice and Boolean questions are decided by a full scan
+_LATTICE_SCAN_LIMIT = 4000
+_BOOLEAN_SCAN_LIMIT = 128
+
+
+def is_lattice(logic: ConcreteLogic) -> Optional[bool]:
     """Whether every pair has a meet and a join.
 
     A counterexample is first sought among atoms and their complements.
     If none is found the full pair scan runs only for tables up to
-    ``full_limit`` elements; beyond that the answer is None (undecided).
+    ``_LATTICE_SCAN_LIMIT`` elements; beyond that the answer is None (undecided).
     Because complementation is an order anti-isomorphism, scanning meets
     over all pairs also decides all joins.
     """
@@ -721,7 +726,7 @@ def is_lattice(logic: ConcreteLogic, *, full_limit: int = 4000) -> Optional[bool
             if logic.meet(i, j) is None or logic.join(i, j) is None:
                 return False
     n = len(logic.elements)
-    if n > full_limit:
+    if n > _LATTICE_SCAN_LIMIT:
         return None
     if any(c is None for c in logic.complement_map):
         return None
@@ -732,13 +737,13 @@ def is_lattice(logic: ConcreteLogic, *, full_limit: int = 4000) -> Optional[bool
     return True
 
 
-def is_boolean(logic: ConcreteLogic, *, size_limit: int = 128) -> Optional[bool]:
+def is_boolean(logic: ConcreteLogic) -> Optional[bool]:
     """Lattice plus distributivity over all triples; None when too large to scan."""
     lat = is_lattice(logic)
     if lat is not True:
         return lat
     n = len(logic.elements)
-    if n > size_limit:
+    if n > _BOOLEAN_SCAN_LIMIT:
         return None
     meets = [[logic.meet(i, j) for j in range(n)] for i in range(n)]
     joins = [[logic.join(i, j) for j in range(n)] for i in range(n)]

@@ -52,11 +52,43 @@ class HRep:
         return len(self.variables)
 
 
+def _ns_conditions(spec: BoxWorldSpec):
+    """The equalities of a valid table, each as (kind, where, terms, rhs).
+
+    ``terms`` lists (atom, coefficient) and the equality reads
+    ``sum(coefficient * P(atom)) == rhs``.  In canonical order: a
+    normalization per input pair (a, b), then right marginals per
+    (b, beta, a >= 1) against a = 0, then left marginals per
+    (a, alpha, b >= 1) against b = 0.  ``ns_polytope``'s rows and
+    ``states.validate_pr_state``'s violations both come from here.
+    """
+    left, right = spec.left_sizes, spec.right_sizes
+    for a, la in enumerate(left):
+        for b, rb in enumerate(right):
+            terms = [(AtomId(a, alpha, b, beta), 1) for alpha in range(la) for beta in range(rb)]
+            yield "normalization", {"a": a, "b": b}, terms, 1
+    # the outcome distribution of one box may not depend on the other box's input
+    for b, rb in enumerate(right):
+        for beta in range(rb):
+            for a in range(1, len(left)):
+                terms = [(AtomId(a, alpha, b, beta), 1) for alpha in range(left[a])]
+                terms += [(AtomId(0, alpha, b, beta), -1) for alpha in range(left[0])]
+                where = {"b": b, "beta": beta, "a": a, "reference_a": 0}
+                yield "right_marginal_depends_on_left_input", where, terms, 0
+    for a, la in enumerate(left):
+        for alpha in range(la):
+            for b in range(1, len(right)):
+                terms = [(AtomId(a, alpha, b, beta), 1) for beta in range(right[b])]
+                terms += [(AtomId(a, alpha, 0, beta), -1) for beta in range(right[0])]
+                where = {"a": a, "alpha": alpha, "b": b, "reference_b": 0}
+                yield "left_marginal_depends_on_right_input", where, terms, 0
+
+
 def ns_polytope(spec: BoxWorldSpec, *, var_cap: int = DEFAULT_VARIABLE_CAP) -> HRep:
     """H-description of all valid tables of a scenario.
 
-    Equalities come in canonical order: one normalization row per input
-    pair, then right-marginal consistency rows, then left-marginal ones.
+    One equality row per ``_ns_conditions`` entry, in its order:
+    normalization, then right-marginal and left-marginal consistency.
     """
     variables = all_atom_ids(spec)
     if len(variables) > var_cap:
@@ -64,38 +96,14 @@ def ns_polytope(spec: BoxWorldSpec, *, var_cap: int = DEFAULT_VARIABLE_CAP) -> H
             f"{len(variables)} table variables, above the cap of {var_cap}"
         )
     pos = {aid: k for k, aid in enumerate(variables)}
-    nv = len(variables)
     coeffs: list[tuple[int, ...]] = []
     rhs: list[int] = []
-
-    for a, la in enumerate(spec.left_sizes):
-        for b, rb in enumerate(spec.right_sizes):
-            row = [0] * nv
-            for alpha in range(la):
-                for beta in range(rb):
-                    row[pos[AtomId(a, alpha, b, beta)]] = 1
-            coeffs.append(tuple(row))
-            rhs.append(1)
-    for b, rb in enumerate(spec.right_sizes):
-        for beta in range(rb):
-            for a in range(1, len(spec.left_sizes)):
-                row = [0] * nv
-                for alpha in range(spec.left_sizes[a]):
-                    row[pos[AtomId(a, alpha, b, beta)]] += 1
-                for alpha in range(spec.left_sizes[0]):
-                    row[pos[AtomId(0, alpha, b, beta)]] -= 1
-                coeffs.append(tuple(row))
-                rhs.append(0)
-    for a, la in enumerate(spec.left_sizes):
-        for alpha in range(la):
-            for b in range(1, len(spec.right_sizes)):
-                row = [0] * nv
-                for beta in range(spec.right_sizes[b]):
-                    row[pos[AtomId(a, alpha, b, beta)]] += 1
-                for beta in range(spec.right_sizes[0]):
-                    row[pos[AtomId(a, alpha, 0, beta)]] -= 1
-                coeffs.append(tuple(row))
-                rhs.append(0)
+    for _, _, terms, value in _ns_conditions(spec):
+        row = [0] * len(variables)
+        for aid, coeff in terms:
+            row[pos[aid]] = coeff
+        coeffs.append(tuple(row))
+        rhs.append(value)
     return HRep(spec, variables, tuple(coeffs), tuple(rhs))
 
 

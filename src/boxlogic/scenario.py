@@ -156,6 +156,17 @@ class GammaIndex:
         self.full_mask = (1 << self.gamma_size) - 1
         self._left_strides = _strides(self.left_sizes)
         self._right_strides = _strides(self.right_sizes)
+        # outcome_mask's bit vectors, per input and outcome of each side
+        self._left_masks, self._right_masks = (
+            tuple(
+                tuple(_digit_mask(self.gamma_size, stride, size, o) for o in range(size))
+                for size, stride in zip(sizes, strides)
+            )
+            for sizes, strides in (
+                (self.left_sizes, [s * self.gamma2_size for s in self._left_strides]),
+                (self.right_sizes, self._right_strides),
+            )
+        )
 
     def point_to_index(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         if len(xs) != len(self.left_sizes) or len(ys) != len(self.right_sizes):
@@ -188,19 +199,14 @@ class GammaIndex:
 
     def outcome_mask(self, side: Side, input_index: int, outcome: int) -> int:
         """Bit vector of all points whose given input shows the given outcome."""
-        sizes = self.left_sizes if side is Side.LEFT else self.right_sizes
-        if not 0 <= input_index < len(sizes):
+        masks = self._left_masks if side is Side.LEFT else self._right_masks
+        if not 0 <= input_index < len(masks):
             raise ScenarioError(f"{side.value} input index {input_index} out of range")
-        size = sizes[input_index]
-        if not 0 <= outcome < size:
+        if not 0 <= outcome < len(masks[input_index]):
             raise ScenarioError(
                 f"outcome {outcome} out of range for {side.value} input {input_index}"
             )
-        if side is Side.LEFT:
-            stride = self._left_strides[input_index] * self.gamma2_size
-        else:
-            stride = self._right_strides[input_index]
-        return _digit_mask(self.gamma_size, stride, size, outcome)
+        return masks[input_index][outcome]
 
 
 def _product(values: Sequence[int]) -> int:

@@ -12,7 +12,8 @@ terms.  With three fixed matrices of the logic, the kernel
 
 - validates: X >= 0 and X @ E^T == den * rhs, where E holds the
   ``ns_polytope`` equality rows (normalization and both marginal
-  families), the same constraints ``validate_pr_state`` checks;
+  families), from the list ``polytope._ns_conditions`` that
+  ``validate_pr_state`` also walks;
 - extends: the element values are V = X @ C, where C is the A x N
   incidence matrix of the lexicographically least atomic partitions;
 - checks well-definedness: X @ W^T == 0, where W holds the distinct rows
@@ -40,7 +41,7 @@ from typing import Optional, Sequence, Union
 from .errors import StateError, TheoremViolation, WellDefinednessViolation
 from .linalg import _exact_dtype, np
 from .logic import ConcreteLogic, Logic, _bit_indices
-from .polytope import ns_polytope
+from .polytope import _ns_conditions, ns_polytope
 from .scenario import AtomId, BoxWorldSpec
 
 RationalLike = Union[Fraction, int, str]
@@ -48,6 +49,8 @@ RationalLike = Union[Fraction, int, str]
 # the seeded mixtures: at most this many vertices, each of integer weight 1.._MAX_WEIGHT
 _MAX_SUPPORT = 6
 _MAX_WEIGHT = 9
+# unwitnessed pairs that check_order_determining reports
+_FAILURE_LIMIT = 20
 
 
 def _as_fraction(value: RationalLike, where: str = "") -> Fraction:
@@ -139,57 +142,24 @@ class Violation:
 
 
 def validate_pr_state(pr: PRState) -> list[Violation]:
-    """All constraint violations of a table: sign, normalization, marginals."""
-    spec = pr.spec
+    """All constraint violations of a table, in ``ns_polytope``'s row order.
+
+    The negative entries of an input pair's block come just before that
+    block's normalization; each equality that fails gives its residual,
+    the left side minus the right side.
+    """
     out: list[Violation] = []
-    for a, la in enumerate(spec.left_sizes):
-        for b, rb in enumerate(spec.right_sizes):
-            total = Fraction(0)
-            for alpha in range(la):
-                for beta in range(rb):
-                    v = pr.value(a, b, alpha, beta)
-                    total += v
-                    if v < 0:
-                        out.append(
-                            Violation(
-                                "negative",
-                                {"a": a, "b": b, "alpha": alpha, "beta": beta},
-                                v,
-                            )
-                        )
-            if total != 1:
-                out.append(Violation("normalization", {"a": a, "b": b}, total - 1))
-    # the outcome distribution of one box may not depend on the other box's input
-    for b, rb in enumerate(spec.right_sizes):
-        for beta in range(rb):
-            ref = sum(pr.value(0, b, alpha, beta) for alpha in range(spec.left_sizes[0]))
-            for a in range(1, len(spec.left_sizes)):
-                got = sum(
-                    pr.value(a, b, alpha, beta) for alpha in range(spec.left_sizes[a])
-                )
-                if got != ref:
-                    out.append(
-                        Violation(
-                            "right_marginal_depends_on_left_input",
-                            {"b": b, "beta": beta, "a": a, "reference_a": 0},
-                            got - ref,
-                        )
-                    )
-    for a, la in enumerate(spec.left_sizes):
-        for alpha in range(la):
-            ref = sum(pr.value(a, 0, alpha, beta) for beta in range(spec.right_sizes[0]))
-            for b in range(1, len(spec.right_sizes)):
-                got = sum(
-                    pr.value(a, b, alpha, beta) for beta in range(spec.right_sizes[b])
-                )
-                if got != ref:
-                    out.append(
-                        Violation(
-                            "left_marginal_depends_on_right_input",
-                            {"a": a, "alpha": alpha, "b": b, "reference_b": 0},
-                            got - ref,
-                        )
-                    )
+    for kind, where, terms, rhs in _ns_conditions(pr.spec):
+        values = [(aid, coeff, pr.atom_value(aid)) for aid, coeff in terms]
+        if kind == "normalization":
+            out += [
+                Violation("negative", {"a": aid.a, "b": aid.b, "alpha": aid.alpha, "beta": aid.beta}, v)
+                for aid, _, v in values
+                if v < 0
+            ]
+        residual = sum((coeff * v for _, coeff, v in values), Fraction(-rhs))
+        if residual:
+            out.append(Violation(kind, where, residual))
     return out
 
 
@@ -483,28 +453,21 @@ def convex_combination(
     )
 
 
-def _mixture_draws(n: int, count: int, seed: int, max_support: int, max_weight: int):
+def _mixture_draws(n: int, count: int, seed: int):
     """(support, integer weights) of each seeded mixture of n tables."""
     rng = random.Random(seed)
     for _ in range(count):
-        size = rng.randint(1, min(max_support, n))
+        size = rng.randint(1, min(_MAX_SUPPORT, n))
         support = rng.sample(range(n), size)
-        yield support, [rng.randint(1, max_weight) for _ in support]
+        yield support, [rng.randint(1, _MAX_WEIGHT) for _ in support]
 
 
-def sample_pr_states(
-    vertices: Sequence[PRState],
-    count: int,
-    seed: int,
-    *,
-    max_support: int = _MAX_SUPPORT,
-    max_weight: int = _MAX_WEIGHT,
-) -> list[PRState]:
+def sample_pr_states(vertices: Sequence[PRState], count: int, seed: int) -> list[PRState]:
     """Seeded rational mixtures of the given extreme tables."""
     if not vertices:
         raise StateError("no vertices to mix")
     out = []
-    for support, raw in _mixture_draws(len(vertices), count, seed, max_support, max_weight):
+    for support, raw in _mixture_draws(len(vertices), count, seed):
         total = sum(raw)
         weights = [Fraction(w, total) for w in raw]
         out.append(convex_combination([vertices[i] for i in support], weights))
@@ -521,13 +484,13 @@ def sample_mixture_rows(
 
     ``rows`` are tables as integers over the one denominator ``scale``
     (as in ``VertexSet.scaled``).  The same seed draws the same supports
-    and weights as the defaults of ``sample_pr_states``; mixture k is
+    and weights as ``sample_pr_states``; mixture k is
     ``mixed[k] / dens[k]``.
     """
     if not rows:
         raise StateError("no vertices to mix")
     mixed, dens = [], []
-    for support, raw in _mixture_draws(len(rows), count, seed, _MAX_SUPPORT, _MAX_WEIGHT):
+    for support, raw in _mixture_draws(len(rows), count, seed):
         columns = zip(*(rows[i] for i in support))
         mixed.append([sum(w * v for w, v in zip(raw, col)) for col in columns])
         dens.append(sum(raw) * scale)
@@ -554,7 +517,6 @@ def check_order_determining(
     logic: ConcreteLogic,
     states: Sequence[LogicState],
     *,
-    failure_limit: int = 20,
     scan_limit: int = 128,
 ) -> OrderDeterminingReport:
     """For every pair p not below q, find a state with value(p) > value(q).
@@ -566,7 +528,7 @@ def check_order_determining(
     the elements containing it, 0 elsewhere).  That state witnesses every
     pair whose difference p minus q holds the point, so only the pairs
     whose difference lies inside the uncertified points go to the
-    all-states scan.  Both paths report the first ``failure_limit``
+    all-states scan.  Both paths report the first ``_FAILURE_LIMIT``
     unwitnessed pairs in ascending (p, q) order.
     """
     n = len(logic.elements)
@@ -586,7 +548,7 @@ def check_order_determining(
                     yield {"p": p, "q": q}
 
     # with every point certified, each q containing p's points contains p
-    failures = [] if certified == logic.full_mask else list(islice(unwitnessed(), failure_limit))
+    failures = [] if certified == logic.full_mask else list(islice(unwitnessed(), _FAILURE_LIMIT))
     return OrderDeterminingReport(
         not failures, len(states), comparable, n * n - comparable, failures, strategy
     )

@@ -9,6 +9,9 @@ THREE_INPUT = bl.BoxWorldSpec.from_sizes([2, 2, 2], [2, 2, 2])
 TWO_BY_THREE = bl.BoxWorldSpec.from_sizes([3, 3], [3, 3])
 SINGLE_PAIR = bl.BoxWorldSpec.from_sizes([2], [2])
 TRIVIAL = SINGLE_PAIR
+# (left sizes, right sizes) of the shapes whose equalities and violations
+# are compared with plain loops; the last two are asymmetric on both sides
+NS_SHAPES = [([2], [2]), ([2, 2], [2, 2]), ([3], [2]), ([2, 2, 2], [2, 2]), ([3, 2], [2, 3, 2]), ([2, 3, 4], [3])]
 
 
 @pytest.fixture(scope="session")

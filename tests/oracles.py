@@ -424,6 +424,110 @@ def table_is_valid(pr) -> bool:
     return True
 
 
+def naive_ns_rows(spec) -> tuple:
+    """``ns_polytope``'s (variables, coefficient rows, rhs) from plain loops.
+
+    Variables are (a, alpha, b, beta) in lexicographic order.  The rows are
+    one normalization per input pair, then per (b, beta, a >= 1) the right
+    marginal at a minus the one at a = 0, then per (a, alpha, b >= 1) the
+    left marginal at b minus the one at b = 0.
+    """
+    la, rb = spec.left_sizes, spec.right_sizes
+    variables = [
+        (a, alpha, b, beta)
+        for a in range(len(la))
+        for alpha in range(la[a])
+        for b in range(len(rb))
+        for beta in range(rb[b])
+    ]
+    pos = {v: k for k, v in enumerate(variables)}
+    coeffs, rhs = [], []
+    for a in range(len(la)):
+        for b in range(len(rb)):
+            row = [0] * len(variables)
+            for alpha in range(la[a]):
+                for beta in range(rb[b]):
+                    row[pos[a, alpha, b, beta]] = 1
+            coeffs.append(tuple(row))
+            rhs.append(1)
+    for b in range(len(rb)):
+        for beta in range(rb[b]):
+            for a in range(1, len(la)):
+                row = [0] * len(variables)
+                for alpha in range(la[a]):
+                    row[pos[a, alpha, b, beta]] += 1
+                for alpha in range(la[0]):
+                    row[pos[0, alpha, b, beta]] -= 1
+                coeffs.append(tuple(row))
+                rhs.append(0)
+    for a in range(len(la)):
+        for alpha in range(la[a]):
+            for b in range(1, len(rb)):
+                row = [0] * len(variables)
+                for beta in range(rb[b]):
+                    row[pos[a, alpha, b, beta]] += 1
+                for beta in range(rb[0]):
+                    row[pos[a, alpha, 0, beta]] -= 1
+                coeffs.append(tuple(row))
+                rhs.append(0)
+    return variables, coeffs, rhs
+
+
+def naive_violations(pr) -> list:
+    """``validate_pr_state``'s violations as ``str(to_dict())``, from plain loops.
+
+    Per input pair in order: its negative entries, then its normalization
+    (residual: the sum minus 1).  Then per (b, beta, a >= 1) the right
+    marginal at a minus the one at a = 0, then per (a, alpha, b >= 1) the
+    left marginal at b minus the one at b = 0, each where nonzero.
+    """
+    la, rb, t = pr.spec.left_sizes, pr.spec.right_sizes, pr.table
+    out = []
+
+    def emit(kind, where, residual):
+        out.append(str({"kind": kind, "where": where, "residual": str(Fraction(residual))}))
+
+    for a in range(len(la)):
+        for b in range(len(rb)):
+            total = Fraction(0)
+            for alpha in range(la[a]):
+                for beta in range(rb[b]):
+                    v = t[a][b][alpha][beta]
+                    total += v
+                    if v < 0:
+                        emit("negative", {"a": a, "b": b, "alpha": alpha, "beta": beta}, v)
+            if total != 1:
+                emit("normalization", {"a": a, "b": b}, total - 1)
+    for b in range(len(rb)):
+        for beta in range(rb[b]):
+            ref = sum(t[0][b][alpha][beta] for alpha in range(la[0]))
+            for a in range(1, len(la)):
+                got = sum(t[a][b][alpha][beta] for alpha in range(la[a]))
+                if got != ref:
+                    where = {"b": b, "beta": beta, "a": a, "reference_a": 0}
+                    emit("right_marginal_depends_on_left_input", where, got - ref)
+    for a in range(len(la)):
+        for alpha in range(la[a]):
+            ref = sum(t[a][0][alpha][beta] for beta in range(rb[0]))
+            for b in range(1, len(rb)):
+                got = sum(t[a][b][alpha][beta] for beta in range(rb[b]))
+                if got != ref:
+                    where = {"a": a, "alpha": alpha, "b": b, "reference_b": 0}
+                    emit("left_marginal_depends_on_right_input", where, got - ref)
+    return out
+
+
+def naive_outcome_mask(gamma, side, input_index: int, outcome: int) -> int:
+    """The points whose outcome column on ``side`` shows ``outcome`` at
+    ``input_index``, one point at a time through ``index_to_point``."""
+    mask = 0
+    for i in range(gamma.gamma_size):
+        xs, ys = gamma.index_to_point(i)
+        if (xs if side is bl.Side.LEFT else ys)[input_index] == outcome:
+            mask |= 1 << i
+    return mask
+
+
 def element_partitions(logic) -> list:
     """``atom_partitions`` of every element, in element index order."""
     return [atom_partitions(bits, logic.atom_bits) for bits in logic.elements]

@@ -73,6 +73,23 @@ def test_build_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+# files that do not decode: not UTF-8, nested past the recursion limit, and an
+# integer past the interpreter's digit limit for int() of a string
+UNDECODABLE = [b"\xff", b"[" * 100_000, b"1" * 5000]
+UNDECODABLE_IDS = ["not-utf-8", "deep-nesting", "huge-integer"]
+
+
+@pytest.mark.parametrize("content", UNDECODABLE, ids=UNDECODABLE_IDS)
+def test_build_rejects_undecodable_files(tmp_path, capsys, content):
+    bad = tmp_path / "undecodable.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, ["build", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: scenario file is not valid JSON: ")
+    assert "Traceback" not in err
+
+
 def test_build_closure_cap(chsh_file, capsys):
     code, _, err = run(capsys, ["build", chsh_file, "--cap-closure", "10"])
     assert code == 3
@@ -218,14 +235,42 @@ def test_module_entry_point(chsh_file):
     assert json.loads(proc.stdout)["logic"]["element_count"] == 82
 
 
-@pytest.mark.parametrize("content", ["5", '{"0,0": {"a": 1}}'], ids=["not-an-object", "block-not-a-list"])
+@pytest.mark.parametrize(
+    "content",
+    [b"5", b'{"0,0": {"a": 1}}', *UNDECODABLE],
+    ids=["not-an-object", "block-not-a-list", *UNDECODABLE_IDS],
+)
 def test_states_check_rejects_malformed_shapes(chsh_file, capsys, tmp_path, content):
     state_path = tmp_path / "shape.json"
-    state_path.write_text(content)
+    state_path.write_bytes(content)
     code, _, err = run(capsys, ["states", "check", chsh_file, str(state_path)])
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [
+        ({"0,0": [["1/2", "1/2", "7"], ["0", "0"], ["9"]]}, "block '0,0' must be a 2 x 2 matrix"),
+        ({"0,0": [["1/2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "0"]]}, "block '0,0' must be a 2 x 2 matrix"),
+        ({"0,0": [["1"]]}, "block '0,0' must be a 2 x 2 matrix"),
+        (
+            {"0,0": [["1/2", "0"], ["0", "1/2"]], "0,1": [["1", "0"], ["0", "0"]]},
+            "block '0,1' is not an input pair of the scenario",
+        ),
+    ],
+    ids=["extra-entries", "oversized", "missing-entries", "extra-block"],
+)
+def test_states_check_rejects_blocks_off_the_scenario(tmp_path, capsys, blocks, message):
+    single = tmp_path / "single_pair.json"
+    save_scenario(bl.BoxWorldSpec.from_sizes([2], [2]), single)
+    state_path = tmp_path / "blocks.json"
+    state_path.write_text(json.dumps(blocks))
+    code, out, err = run(capsys, ["states", "check", str(single), str(state_path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

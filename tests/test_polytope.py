@@ -11,7 +11,7 @@ from boxlogic import BoxWorldSpec
 from boxlogic.io import load_scenario
 
 import oracles
-from conftest import CHSH, SINGLE_PAIR
+from conftest import CHSH, NS_SHAPES, SINGLE_PAIR
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -91,6 +91,15 @@ def test_infeasible_points_rejected(chsh_polytope):
     assert not oracles.satisfies_hrep(hrep, tuple(Fraction(0) for _ in range(nv)))
     assert not oracles.is_extreme_point(hrep, tuple(Fraction(0) for _ in range(nv)))
     assert not oracles.satisfies_hrep(hrep, tuple(Fraction(1, 16) for _ in range(nv)))
+
+
+@pytest.mark.parametrize("left,right", NS_SHAPES, ids=str)
+def test_ns_rows_match_the_naive_loops(left, right):
+    hrep = bl.ns_polytope(BoxWorldSpec.from_sizes(left, right))
+    variables, coeffs, rhs = oracles.naive_ns_rows(hrep.spec)
+    assert [(v.a, v.alpha, v.b, v.beta) for v in hrep.variables] == variables
+    assert list(hrep.eq_coeffs) == coeffs
+    assert list(hrep.eq_rhs) == rhs
 
 
 def test_variable_cap():

@@ -5,6 +5,7 @@ import pytest
 import boxlogic as bl
 from boxlogic import AtomId, BoxWorldSpec, LocalizedSpec, Side
 
+import oracles
 from conftest import CHSH
 
 
@@ -184,6 +185,18 @@ def test_out_of_range_atom_rejected():
         bl.make_atom(g, AtomId(0, 2, 0, 0))
     with pytest.raises(bl.ScenarioError):
         bl.make_atom(g, AtomId(5, 0, 0, 0))
+
+
+@pytest.mark.parametrize("left,right", [([3], [2]), ([2, 3], [2, 2]), ([3, 2], [2, 3, 2]), ([2, 3, 4], [3])], ids=str)
+def test_outcome_masks_match_the_points(left, right):
+    g = bl.build_gamma(BoxWorldSpec.from_sizes(left, right))
+    for side, sizes in ((Side.LEFT, left), (Side.RIGHT, right)):
+        for k, size in enumerate(sizes):
+            for o in range(size):
+                assert g.outcome_mask(side, k, o) == oracles.naive_outcome_mask(g, side, k, o)
+        for k, o in ((len(sizes), 0), (-1, 0), (0, sizes[0]), (0, -1)):
+            with pytest.raises(bl.ScenarioError, match="out of range"):
+                g.outcome_mask(side, k, o)
 
 
 def test_empty_localized_outcomes_rejected():

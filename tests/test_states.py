@@ -12,7 +12,7 @@ from boxlogic import AtomId, LocalizedSpec, Side
 from boxlogic.io import pr_state_from_dict
 
 import oracles
-from conftest import CHSH, THREE_INPUT
+from conftest import CHSH, NS_SHAPES, THREE_INPUT
 from test_structural_checks import _point_added, _random_removal
 
 
@@ -73,6 +73,47 @@ def test_negative_entry_detected():
 
     violations = bl.validate_pr_state(bl.PRState.from_function(CHSH, fn))
     assert any(v.kind == "negative" for v in violations)
+
+
+def _damaged_tables(spec, count, seed):
+    """Seeded mixtures of deterministic tables, most of them damaged: one
+    entry moved (unnormalized), mass shifted inside a block (signalling,
+    sometimes negative), or every entry redrawn."""
+    rng = random.Random(seed)
+    points = list(bl.deterministic_points(spec))
+    for t in range(count):
+        support = [rng.choice(points) for _ in range(3)]
+        base = bl.convex_combination(
+            [bl.PRState.deterministic(spec, xs, ys) for xs, ys in support],
+            [Fraction(w, 6) for w in (1, 2, 3)],
+        )
+        table = [[[list(row) for row in block] for block in blocks] for blocks in base.table]
+        a, b = rng.randrange(len(table)), rng.randrange(len(table[0]))
+        block = table[a][b]
+        delta = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 5, 7]))
+        if t % 4 == 1:
+            block[rng.randrange(len(block))][rng.randrange(len(block[0]))] += delta
+        elif t % 4 == 2:
+            block[0][0] += delta
+            block[-1][-1] -= delta
+        elif t % 4 == 3:
+            for row in block:
+                row[:] = [Fraction(rng.randint(-2, 4), rng.randint(1, 6)) for _ in row]
+        yield bl.PRState.from_nested(spec, table)
+
+
+@pytest.mark.parametrize("left,right", NS_SHAPES, ids=str)
+def test_violations_match_the_naive_loops(left, right):
+    spec = bl.BoxWorldSpec.from_sizes(left, right)
+    kinds = set()
+    for pr in _damaged_tables(spec, 60, seed=1501):
+        violations = bl.validate_pr_state(pr)
+        assert [str(v.to_dict()) for v in violations] == oracles.naive_violations(pr)
+        assert all(type(v.residual) is Fraction for v in violations)
+        kinds |= {v.kind for v in violations}
+    signalling = {"right_marginal_depends_on_left_input", "left_marginal_depends_on_right_input"}
+    assert kinds >= {"negative", "normalization"}
+    assert bool(kinds & signalling) == (len(left) + len(right) > 2)
 
 
 def test_missing_entries_rejected():
