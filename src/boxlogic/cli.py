@@ -124,11 +124,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .report import verify_scenario
+    from .report import MAX_SAMPLE_COUNT, verify_scenario
 
     caps = _caps_from_args(args)
-    if args.samples < 0:
-        raise ScenarioError("--samples must be zero or positive")
+    if not 0 <= args.samples <= MAX_SAMPLE_COUNT:
+        raise ScenarioError(f"--samples must be between 0 and {MAX_SAMPLE_COUNT}")
     spec = load_scenario(args.scenario)
     report = verify_scenario(spec, seed=args.seed, sample_count=args.samples, caps=caps)
     text = canonical_json(report)

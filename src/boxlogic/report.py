@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Optional
 
@@ -21,20 +20,26 @@ from .logic import (
 )
 from .polytope import HRep, VertexSet, enumerate_vertices, ns_polytope
 from .scenario import AtomId, BoxWorldSpec, Side, default_caps
-from .states import (
-    PRState,
-    check_order_determining,
-    round_trip_rows,
-    sample_mixture_rows,
-    verify_state_monotonicity,
-)
+from .states import PRState, check_table_rows
+
+# CPython's builtin SHA-256, as `random` takes SHA-512: hashlib would map OpenSSL's
+# libcrypto (about 3 MiB resident) to hash a few dozen bytes
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 DEFAULT_SAMPLE_COUNT = 100
+# the most seeded mixtures `verify --samples` accepts
+MAX_SAMPLE_COUNT = 100_000
 
 
 def scenario_hash(spec: BoxWorldSpec) -> str:
     blob = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _header(spec: BoxWorldSpec, caps: dict, seed: Optional[int], logic: Logic) -> dict:
@@ -114,34 +119,15 @@ def verify_scenario(
         hrep = None
     if hrep is not None:
         vertex_set = enumerate_vertices(hrep)
-        nv = len(vertex_set)
-        mixtures, mixture_dens = sample_mixture_rows(
-            vertex_set.scaled, vertex_set.scale, sample_count, seed
-        )
-        # hrep.variables and logic.atom_ids are both all_atom_ids(spec): same columns
-        batch = round_trip_rows(
-            logic, [*vertex_set.scaled, *mixtures], [vertex_set.scale] * nv + mixture_dens
-        )
-        vertex_logic_states = [s for s in batch.states[:nv] if s is not None]
-        monotone_ok, monotone_checked = verify_state_monotonicity(
-            logic, vertex_logic_states
-        )
-        order = check_order_determining(logic, vertex_logic_states)
         report["polytope"] = {
             "affine_dim": vertex_set.affine_dim,
             "vertex_count": len(vertex_set),
             "deterministic": vertex_set.count("deterministic"),
             "nondeterministic": vertex_set.count("nondeterministic"),
         }
+        # hrep.variables and logic.atom_ids are both all_atom_ids(spec): same columns
         state_section.update(
-            {
-                "vertex_states": nv,
-                "random_states": len(mixtures),
-                "all_tables_valid": bool(batch.valid.all()),
-                "round_trip_failures": batch.failures,
-                "monotonicity": {"ok": monotone_ok, "checked": monotone_checked},
-                "order_determining": order.to_dict(),
-            }
+            check_table_rows(logic, vertex_set.scaled, vertex_set.scale, sample_count, seed)
         )
     report["state_correspondence"] = state_section
 

@@ -227,14 +227,16 @@ def _strides(sizes: Sequence[int]) -> tuple[int, ...]:
 
 
 def _digit_mask(width: int, stride: int, size: int, value: int) -> int:
-    """Bits at positions j with (j // stride) % size == value."""
-    unit = (1 << stride) - 1
+    """Bits at positions j with (j // stride) % size == value, one period per
+    start below ``width``; the copies double each round, O(width log width)."""
     period = stride * size
-    block = unit << (value * stride)
-    out = 0
-    for start in range(0, width, period):
-        out |= block << start
-    return out
+    periods = -(-width // period)
+    out = ((1 << stride) - 1) << (value * stride)
+    copies = 1
+    while copies < periods:
+        out |= out << (copies * period)
+        copies *= 2
+    return out & ((1 << (periods * period)) - 1)
 
 
 def build_gamma(spec: BoxWorldSpec, *, gamma_cap: int = DEFAULT_GAMMA_CAP) -> GammaIndex:

@@ -15,7 +15,11 @@ terms.  With three fixed matrices of the logic, the kernel
   families), from the list ``polytope._ns_conditions`` that
   ``validate_pr_state`` also walks;
 - extends: the element values are V = X @ C, where C is the A x N
-  incidence matrix of the lexicographically least atomic partitions;
+  incidence matrix of the lexicographically least atomic partitions.
+  V is filled one layer of first steps at a time: into each nonzero
+  element u, the step p -> u whose atom a comes first gives
+  V(u) = V(p) + X(a), and a step joins a layer once p is filled.  C is
+  the same fill of the identity;
 - checks well-definedness: X @ W^T == 0, where W holds the distinct rows
   C(p) + e_a - C(p | a) over the atom steps p -> p | a;
 - reads back: the full-set column of V equals den, 0 <= V <= den, and
@@ -26,6 +30,15 @@ most A entries of magnitude at most M = max(|X|, den), and one dtype
 rule covers every product: int64 when M * max(A, 2) < 2**62, ``object``
 (Python integers) otherwise.  Both dtypes run the same numpy
 expressions.  V is the storage that the batch's states view.
+
+Rows go through the kernel in chunks of about ``_CHUNK_ENTRIES`` value
+entries (at least one row), counted on the wider of the element and the
+atom-step tables, since the order checks gather one value per step.  Each
+chunk is validated, extended and read back, then handed to the
+accumulators of the monotonicity and order-determination checks, before
+the next one is built.  So memory stays bounded however many rows pass:
+``check_table_rows``, the state section of a verification, holds no
+value matrix and no state beyond one chunk.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import StateError, TheoremViolation, WellDefinednessViolation
 from .linalg import _exact_dtype, np
@@ -51,6 +64,12 @@ _MAX_SUPPORT = 6
 _MAX_WEIGHT = 9
 # unwitnessed pairs that check_order_determining reports
 _FAILURE_LIMIT = 20
+# logics up to this many elements get check_order_determining's all-pairs scan
+_SCAN_LIMIT = 128
+# entries of each chunk of rows in the kernel walk (at least one row)
+_CHUNK_ENTRIES = 1 << 18
+# candidate pairs that check_order_determining tests per walk over uncertified rows
+_PAIR_BLOCK = 1 << 18
 
 
 def _as_fraction(value: RationalLike, where: str = "") -> Fraction:
@@ -252,14 +271,20 @@ class _StateTables:
         pos = np.zeros(n, dtype=np.intp)
         pos[self.atom_elems] = np.arange(natoms)
         pos = pos[atom]  # the atom position of each step
-        # into each nonzero element, the step whose atom comes first
+        # into each nonzero element, the step whose atom comes first, in layers: a
+        # step joins a layer once its lower element was filled by an earlier one
         order = np.lexsort((pos, upper))
-        first = order[np.diff(upper[order], prepend=-1) != 0]
-        canon = np.zeros((n, natoms), dtype=np.int8)
-        for k in sorted(first.tolist(), key=lambda k: logic.elements[upper[k]].bit_count()):
-            canon[upper[k]] = canon[lower[k]]
-            canon[upper[k], pos[k]] = 1
-        self.canon = canon.T.astype(np.int64)
+        rest = order[np.diff(upper[order], prepend=-1) != 0]
+        filled = np.zeros(n, dtype=bool)
+        filled[logic.index_of(0)] = True
+        self.nelements, self.layers = n, []
+        while rest.size:
+            ready = filled[lower[rest]]
+            first, rest = rest[ready], rest[~ready]
+            self.layers.append((upper[first], lower[first], pos[first]))
+            filled[upper[first]] = True
+        self.canon = self.values(np.eye(natoms, dtype=np.int8))
+        canon = self.canon.T
         steps = canon[lower] + canon[atom] - canon[upper]
         distinct = b"".join(dict.fromkeys(row.tobytes() for row in steps))
         self.constraints = np.frombuffer(distinct, np.int8).reshape(-1, natoms).T.astype(np.int64)
@@ -278,13 +303,22 @@ class _StateTables:
         """Which rows are tables: non-negative, normalized, non-signalling."""
         return (x >= 0).all(axis=1) & (x @ self.eq == den[:, None] * self.eq_rhs).all(axis=1)
 
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """X @ C, one layer of first steps at a time: V(p | a) = V(p) + X(a)."""
+        values = np.zeros((len(x), self.nelements), dtype=x.dtype)
+        for upper, lower, pos in self.layers:
+            layer = values[:, lower]
+            layer += x[:, pos]
+            values[:, upper] = layer
+        return values
+
     def extend(self, x: np.ndarray, den: np.ndarray) -> np.ndarray:
         """Element values X @ C, once the values add on every atom step.
 
         If a is in a partition P of u, P - {a} partitions u - a, which the closed table
         holds, so by induction every P sums to V(u); C(p) + e_a itself partitions p | a.
         """
-        values = x @ self.canon
+        values = self.values(x)
         bad = np.flatnonzero((x @ self.constraints).any(axis=1))
         if bad.size:
             v, d = values[bad[0]], int(den[bad[0]])
@@ -388,19 +422,42 @@ def round_trip_rows(
     Row k is the table ``rows[k] / dens[k]``, one column per atom in
     ``logic.atom_ids`` order.  Rows that are not tables are flagged and
     left out; on the others a well-definedness or read-back failure raises
-    as in ``state_from_pr`` and ``pr_from_state``.
+    as in ``state_from_pr`` and ``pr_from_state``, for the first failing
+    chunk of ``_walk_tables``.
+    """
+    valid, states, failures = [np.zeros(0, dtype=bool)], [], 0
+    for ok, values, den, bad in _walk_tables(logic, zip(rows, dens)):
+        valid.append(ok)
+        failures += bad
+        kept = zip(den.tolist(), values)
+        states += [
+            LogicState(logic, *next(kept), additive_checked=True) if flag else None
+            for flag in ok.tolist()
+        ]
+    return RoundTrip(np.concatenate(valid), states, failures)
+
+
+def _walk_tables(
+    logic: Logic, rows: Iterable[tuple[Sequence[int], int]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Validate, extend and read back (row, den) tables one chunk at a time.
+
+    Yields per chunk the valid flags of its rows, the value rows and
+    denominators of the valid ones, reduced, and how many of those read
+    back a different table.  A chunk is built only when the one before
+    it has been consumed.
     """
     tables = _state_tables(logic)
-    x, den = tables.batch(rows, dens)
-    valid = tables.valid(x, den)
-    kept = np.flatnonzero(valid)
-    x, den = x[kept], den[kept]
-    values = tables.extend(x, den)
-    failures = int((tables.read_back(values, den) != x).any(axis=1).sum())
-    states: list[Optional[LogicState]] = [None] * len(valid)
-    for k, row in enumerate(kept.tolist()):
-        states[row] = LogicState(logic, int(den[k]), values[k], additive_checked=True)
-    return RoundTrip(valid, states, failures)
+    # a row's values or its step gathers, whichever is wider
+    size = max(1, _CHUNK_ENTRIES // max(len(logic.elements), tables.steps.shape[1]))
+    rows = iter(rows)
+    while chunk := list(islice(rows, size)):
+        x, den = tables.batch(*zip(*chunk))
+        ok = tables.valid(x, den)
+        kept = np.flatnonzero(ok)
+        x, den = x[kept], den[kept]
+        values = tables.extend(x, den)
+        yield ok, values, den, int((tables.read_back(values, den) != x).any(axis=1).sum())
 
 
 def _first_step_failure(nums: np.ndarray, steps: np.ndarray) -> Optional[tuple[int, int, int]]:
@@ -474,27 +531,25 @@ def sample_pr_states(vertices: Sequence[PRState], count: int, seed: int) -> list
     return out
 
 
-def sample_mixture_rows(
-    rows: Sequence[Sequence[int]],
-    scale: int,
-    count: int,
-    seed: int,
-) -> tuple[list[list[int]], list[int]]:
-    """The mixtures of ``sample_pr_states``, built in integers.
+def _mixture_rows(
+    rows: Sequence[Sequence[int]], scale: int, count: int, seed: int
+) -> Iterator[tuple[list[int], int]]:
+    """The mixtures of ``sample_pr_states``, built in integers as they are drawn.
 
     ``rows`` are tables as integers over the one denominator ``scale``
     (as in ``VertexSet.scaled``).  The same seed draws the same supports
-    and weights as ``sample_pr_states``; mixture k is
-    ``mixed[k] / dens[k]``.
+    and weights as ``sample_pr_states``; each mixture comes as
+    ``(row, den)``, the table ``row / den``.
     """
     if not rows:
         raise StateError("no vertices to mix")
-    mixed, dens = [], []
-    for support, raw in _mixture_draws(len(rows), count, seed):
-        columns = zip(*(rows[i] for i in support))
-        mixed.append([sum(w * v for w, v in zip(raw, col)) for col in columns])
-        dens.append(sum(raw) * scale)
-    return mixed, dens
+    return (
+        (
+            [sum(w * v for w, v in zip(raw, col)) for col in zip(*(rows[i] for i in support))],
+            sum(raw) * scale,
+        )
+        for support, raw in _mixture_draws(len(rows), count, seed)
+    )
 
 
 # -- states determine the order ------------------------------------------
@@ -513,11 +568,78 @@ class OrderDeterminingReport:
         return asdict(self)
 
 
+class _OrderWitnesses:
+    """What ``check_order_determining`` gathers in one pass over value rows.
+
+    Up to ``scan_limit`` elements, the mask of the pairs (p, q) with
+    value(p) > value(q) in some state, at most 16K entries at the default
+    limit; past it, the mask of certified sample points.
+    """
+
+    def __init__(self, logic: ConcreteLogic, scan_limit: int):
+        n = len(logic.elements)
+        self.logic, self.states, self.certified = logic, 0, 0
+        self.witnessed = np.zeros((n, n), dtype=bool) if n <= scan_limit else None
+        self.points_by_column: dict[int, int] = {}
+        if self.witnessed is None:
+            for x in range(logic.ground_size):
+                col = logic.containing(1 << x)
+                self.points_by_column[col] = self.points_by_column.get(col, 0) | 1 << x
+
+    def add(self, values: Sequence[np.ndarray], dens: Sequence[int]) -> None:
+        self.states += len(values)
+        for row, den in zip(values, dens):
+            if self.witnessed is not None:
+                self.witnessed |= row[:, None] > row[None, :]
+            elif ((row == 0) | (row == den)).all():
+                # the element-membership mask as binary digits, highest element first
+                digits = (row[::-1] != 0).astype(np.uint8) + ord("0")
+                self.certified |= self.points_by_column.get(int(digits.tobytes(), 2), 0)
+
+    def report(
+        self, rows_again: Callable[[], Iterable[tuple[Sequence[np.ndarray], Sequence[int]]]]
+    ) -> OrderDeterminingReport:
+        """The report; ``rows_again`` walks the same rows once more, in blocks of
+        unwitnessed candidate pairs, where some sample point is not certified."""
+        logic = self.logic
+        n, comparable = len(logic.elements), logic.comparable_count()
+        full_scan = self.witnessed is not None
+        candidates = (
+            (p, q)
+            for p, bits in enumerate(logic.elements)
+            # q containing every certified point of p: no certificate applies
+            for q in _bit_indices(logic.containing(bits & self.certified) & ~logic.containing(bits))
+        )
+        failures: list[dict] = []
+        # with every point certified, each q containing p's points contains p
+        while (
+            self.certified != logic.full_mask
+            and len(failures) < _FAILURE_LIMIT
+            and (block := list(islice(candidates, _PAIR_BLOCK)))
+        ):
+            p, q = np.array(block, dtype=np.intp).T
+            if full_scan:
+                seen = self.witnessed[p, q]
+            else:
+                seen = np.zeros(len(block), dtype=bool)
+                for values, _ in rows_again():
+                    for row in values:
+                        seen |= row[p] > row[q]
+            missed = np.flatnonzero(~seen)[: _FAILURE_LIMIT - len(failures)]
+            failures += [{"p": int(p[k]), "q": int(q[k])} for k in missed]
+        strategy = (
+            "full scan" if full_scan else "point-state witnesses, verified against stored values"
+        )
+        return OrderDeterminingReport(
+            not failures, self.states, comparable, n * n - comparable, failures, strategy
+        )
+
+
 def check_order_determining(
     logic: ConcreteLogic,
     states: Sequence[LogicState],
     *,
-    scan_limit: int = 128,
+    scan_limit: int = _SCAN_LIMIT,
 ) -> OrderDeterminingReport:
     """For every pair p not below q, find a state with value(p) > value(q).
 
@@ -531,42 +653,35 @@ def check_order_determining(
     all-states scan.  Both paths report the first ``_FAILURE_LIMIT``
     unwitnessed pairs in ascending (p, q) order.
     """
-    n = len(logic.elements)
-    comparable = logic.comparable_count()
-    if n <= scan_limit:
-        certified, strategy = 0, "full scan"
-    else:
-        certified = _certified_points(logic, states)
-        strategy = "point-state witnesses, verified against stored values"
-
-    def unwitnessed():
-        for p, bits in enumerate(logic.elements):
-            # q containing every certified point of p: no certificate applies
-            open_qs = logic.containing(bits & certified) & ~logic.containing(bits)
-            for q in _bit_indices(open_qs):
-                if not any(s.numerators[p] > s.numerators[q] for s in states):
-                    yield {"p": p, "q": q}
-
-    # with every point certified, each q containing p's points contains p
-    failures = [] if certified == logic.full_mask else list(islice(unwitnessed(), _FAILURE_LIMIT))
-    return OrderDeterminingReport(
-        not failures, len(states), comparable, n * n - comparable, failures, strategy
-    )
+    witnesses = _OrderWitnesses(logic, scan_limit)
+    rows = [s.numerators for s in states], [s.denominator for s in states]
+    witnesses.add(*rows)
+    return witnesses.report(lambda: [rows])
 
 
-def _certified_points(logic: ConcreteLogic, states: Sequence[LogicState]) -> int:
-    """Mask of the sample points whose indicator is one of the states."""
-    points_by_column: dict[int, int] = {}
-    for x in range(logic.ground_size):
-        col = logic.containing(1 << x)
-        points_by_column[col] = points_by_column.get(col, 0) | 1 << x
-    certified = 0
-    for s in states:
-        if s.is_two_valued():
-            # the element-membership mask as binary digits, highest element first
-            digits = (s.numerators[::-1] != 0).astype(np.uint8) + ord("0")
-            certified |= points_by_column.get(int(digits.tobytes(), 2), 0)
-    return certified
+class _Monotonicity:
+    """The first row, in order, whose values fall along an atom step."""
+
+    def __init__(self, logic: ConcreteLogic):
+        self.logic = logic
+        lower, _, upper = logic._step_arrays()
+        order = np.lexsort((upper, lower))  # gathers in element order run faster
+        self.lower, self.upper = lower[order], upper[order]
+        self.rows, self.first_break = 0, None
+
+    def add(self, values: Sequence[np.ndarray]) -> None:
+        if self.first_break is None:
+            # one row at a time: gathering a chunk's columns at once is about twice as slow
+            for k, row in enumerate(values):
+                if (row[self.lower] > row[self.upper]).any():
+                    self.first_break = self.rows + k
+                    break
+        self.rows += len(values)
+
+    def result(self) -> tuple[bool, int]:
+        """(ok, rows passed times comparable pairs)."""
+        passed = self.rows if self.first_break is None else self.first_break
+        return self.first_break is None, passed * self.logic.comparable_count()
 
 
 def verify_state_monotonicity(
@@ -578,9 +693,44 @@ def verify_state_monotonicity(
     the transitive closure of its covers, so only cover edges are compared;
     ``checked`` is states passed times comparable pairs.
     """
-    lower, _, upper = logic._step_arrays()
-    pairs = logic.comparable_count()
-    for k, s in enumerate(states):
-        if np.any(s.numerators[lower] > s.numerators[upper]):
-            return False, k * pairs
-    return True, len(states) * pairs
+    monotonicity = _Monotonicity(logic)
+    monotonicity.add([s.numerators for s in states])
+    return monotonicity.result()
+
+
+# -- the state section of a verification ----------------------------------
+
+
+def check_table_rows(
+    logic: Logic, rows: Sequence[Sequence[int]], scale: int, sample_count: int, seed: int
+) -> dict:
+    """The state section of a verification, in one pass over chunks of rows.
+
+    ``rows`` are the polytope's vertices as integers over ``scale``; the
+    ``sample_count`` seeded mixtures of ``sample_pr_states`` follow them
+    through the same kernel walk.  While a chunk of valid vertex rows is
+    alive it is checked for monotonicity and offered to the witnesses of
+    ``check_order_determining``; only that check walks the vertices a
+    second time, and only when some sample point stays uncertified.
+    """
+    monotonicity, witnesses = _Monotonicity(logic), _OrderWitnesses(logic, _SCAN_LIMIT)
+
+    def vertices():
+        return _walk_tables(logic, ((row, scale) for row in rows))
+
+    all_valid, failures = True, 0
+    for ok, values, den, bad in vertices():
+        all_valid, failures = all_valid and bool(ok.all()), failures + bad
+        monotonicity.add(values)
+        witnesses.add(values, den)
+    for ok, _, _, bad in _walk_tables(logic, _mixture_rows(rows, scale, sample_count, seed)):
+        all_valid, failures = all_valid and bool(ok.all()), failures + bad
+    monotone, checked = monotonicity.result()
+    return {
+        "vertex_states": len(rows),
+        "random_states": sample_count,
+        "all_tables_valid": all_valid,
+        "round_trip_failures": failures,
+        "monotonicity": {"ok": monotone, "checked": checked},
+        "order_determining": witnesses.report(lambda: (c[1:3] for c in vertices())).to_dict(),
+    }

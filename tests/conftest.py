@@ -59,15 +59,27 @@ def chsh_vertex_states(chsh_polytope):
 
 
 @pytest.fixture()
-def invalid_first_vertex(monkeypatch):
-    """verify_scenario sees a vertex set whose first table is all zeros."""
+def invalid_vertex(monkeypatch):
+    """Called with indices: verify_scenario then sees a vertex set whose tables at
+    those indices are all zeros."""
     from boxlogic import report
 
     enumerate_vertices = report.enumerate_vertices
 
-    def patched(hrep):
-        vertex_set = enumerate_vertices(hrep)
-        zero = (0,) * hrep.nvars
-        return dataclasses.replace(vertex_set, scaled=(zero, *vertex_set.scaled[1:]))
+    def install(*ks):
+        def patched(hrep):
+            vertex_set = enumerate_vertices(hrep)
+            scaled = list(vertex_set.scaled)
+            for k in ks:
+                scaled[k] = (0,) * hrep.nvars
+            return dataclasses.replace(vertex_set, scaled=tuple(scaled))
 
-    monkeypatch.setattr(report, "enumerate_vertices", patched)
+        monkeypatch.setattr(report, "enumerate_vertices", patched)
+
+    return install
+
+
+@pytest.fixture()
+def invalid_first_vertex(invalid_vertex):
+    """verify_scenario sees a vertex set whose first table is all zeros."""
+    invalid_vertex(0)

@@ -517,6 +517,15 @@ def naive_violations(pr) -> list:
     return out
 
 
+def naive_digit_mask(width: int, stride: int, size: int, value: int) -> int:
+    """``scenario._digit_mask`` as one block per period, in a plain loop."""
+    block = ((1 << stride) - 1) << (value * stride)
+    out = 0
+    for start in range(0, width, stride * size):
+        out |= block << start
+    return out
+
+
 def naive_outcome_mask(gamma, side, input_index: int, outcome: int) -> int:
     """The points whose outcome column on ``side`` shows ``outcome`` at
     ``input_index``, one point at a time through ``index_to_point``."""

@@ -1,7 +1,11 @@
+import hashlib
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,9 @@ import boxlogic as bl
 from boxlogic.cli import main
 from boxlogic.io import save_pr_state, save_scenario
 
-from conftest import CHSH
+from conftest import CHSH, THREE_INPUT
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -292,6 +298,23 @@ def test_verify_rejects_negative_samples(chsh_file, capsys):
     assert json.loads(out)["all_passed"] is True
 
 
+def test_verify_samples_past_the_limit_exit_before_any_run(chsh_file, capsys, monkeypatch):
+    from boxlogic import report
+
+    limit = report.MAX_SAMPLE_COUNT
+    calls = []
+    stub = {"all_passed": True}
+    monkeypatch.setattr(report, "verify_scenario", lambda spec, **kw: calls.append(kw) or stub)
+    for value in (limit + 1, 10**12):
+        code, out, err = run(capsys, ["verify", chsh_file, "--samples", str(value)])
+        assert (code, out, calls) == (2, "", [])
+        assert err == f"error: --samples must be between 0 and {limit}\n"
+    # the limit itself is accepted and reaches the run
+    code, out, _ = run(capsys, ["verify", chsh_file, "--samples", str(limit)])
+    assert code == 0 and json.loads(out) == stub
+    assert [kw["sample_count"] for kw in calls] == [limit]
+
+
 def test_verify_invalid_own_table_is_a_failed_claim(chsh_file, capsys, invalid_first_vertex):
     code, out, err = run(capsys, ["verify", chsh_file, "--samples", "10"])
     assert code == 4
@@ -321,3 +344,51 @@ def test_export_json_writes_the_hrep_only_with_an_out_dir(chsh_file, capsys, tmp
     code, written, _ = run(capsys, ["export", "json", chsh_file, "--out", str(out_dir)])
     assert code == 0 and written == plain and len(serialised) == 1
     assert sorted(p.name for p in out_dir.iterdir()) == ["hrep.json", "logic.json"]
+
+
+def python_with_src(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
+    ).stdout
+
+
+def canonical_blob(spec):
+    return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+@pytest.mark.parametrize("spec", [CHSH, THREE_INPUT], ids=["chsh", "three_input"])
+def test_scenario_hash_is_the_sha256_of_the_canonical_blob(spec):
+    from boxlogic.report import scenario_hash
+
+    assert scenario_hash(spec) == hashlib.sha256(canonical_blob(spec)).hexdigest()
+
+
+def test_scenario_hash_falls_back_to_hashlib_without_the_builtin_modules():
+    from boxlogic.report import scenario_hash
+
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None  # both imports now fail\n"
+        "import hashlib\n"
+        "from boxlogic import BoxWorldSpec, report\n"
+        "assert report._sha256 is hashlib.sha256\n"
+        "print(report.scenario_hash(BoxWorldSpec.from_sizes([2, 2], [2, 2])))\n"
+    )
+    assert python_with_src(code).strip() == scenario_hash(CHSH)
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no builtin SHA-256, so hashlib is the only one",
+)
+def test_verify_does_not_load_openssl(chsh_file):
+    code = (
+        "import contextlib, io, sys\n"
+        "from boxlogic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', sys.argv[1], '--samples', '5'])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
+    )
+    assert python_with_src(code, chsh_file).split() == ["0", "False"]

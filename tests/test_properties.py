@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import boxlogic as bl
 from boxlogic import BoxWorldSpec, Side
@@ -196,3 +196,19 @@ def test_de_morgan_sampled_on_large_logic(two_by_three_logic):
             assert meet_of_comps is None
         else:
             assert meet_of_comps == comp[join]
+
+
+@lru_cache(maxsize=None)
+def cached_vertices(left, right):
+    return bl.enumerate_vertices(bl.ns_polytope(BoxWorldSpec.from_sizes(list(left), list(right))))
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_scenarios)
+@example(((2, 2), (2, 2))).via("CHSH: 16")
+@example(((2, 2, 2), (2, 2, 2))).via("three_input_binary: 64")
+@example(((3, 3), (3, 3))).via("two_input_three_outcome: 81")
+def test_deterministic_vertices_are_the_outcome_assignments(shape):
+    # one deterministic vertex per choice of an outcome for every input of both boxes
+    left, right = shape
+    assert cached_vertices(left, right).count("deterministic") == _points(left) * _points(right)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -207,3 +208,19 @@ def test_empty_localized_outcomes_rejected():
 def test_scenario_dict_round_trip():
     spec = BoxWorldSpec.from_sizes([2, 3], [2, 2])
     assert BoxWorldSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_digit_mask_matches_the_plain_loop():
+    from boxlogic.scenario import _digit_mask
+
+    rng = random.Random(18)
+    cases = [(0, 1, 2, 1), (1, 1, 1, 0), (7, 2, 3, 2), (2**16, 1, 2, 1), (2**16, 3, 4, 3)]
+    # the widths of real sample spaces are multiples of the period; the others keep
+    # the loop's last, partial period too
+    cases += [(2**16, 2**k, 2, v) for k in (0, 5, 15) for v in (0, 1)]
+    for _ in range(300):
+        stride, size = rng.randint(1, 40), rng.randint(1, 6)
+        width = rng.choice([stride * size * rng.randint(0, 50), rng.randint(0, 3000)])
+        cases.append((width, stride, size, rng.randrange(size)))
+    for case in cases:
+        assert _digit_mask(*case) == oracles.naive_digit_mask(*case), case

@@ -9,7 +9,7 @@ import pytest
 
 import boxlogic as bl
 from boxlogic import AtomId, LocalizedSpec, Side
-from boxlogic.io import pr_state_from_dict
+from boxlogic.io import canonical_json, pr_state_from_dict
 
 import oracles
 from conftest import CHSH, NS_SHAPES, THREE_INPUT
@@ -397,16 +397,14 @@ def test_kernel_matches_oracle_on_vertices_and_mixtures(request, scenario):
     assert logic.atom_ids == hrep.variables == bl.all_atom_ids(logic.spec)
     vertices = bl.vertex_pr_states(hrep, vertex_set)
     mixtures = bl.sample_pr_states(vertices, 40, seed=11)
-    mixed, dens = bl.states.sample_mixture_rows(
-        vertex_set.scaled, vertex_set.scale, 40, seed=11
-    )
+    mixed, dens = zip(*bl.states._mixture_rows(vertex_set.scaled, vertex_set.scale, 40, seed=11))
     # the integer-built mixtures are the sample_pr_states tables of the same seed
     for row, den, pr in zip(mixed, dens, mixtures, strict=True):
         assert [Fraction(v, den) for v in row] == [
             pr.atom_value(aid) for aid in logic.atom_ids
         ]
     rows = [*vertex_set.scaled, *mixed]
-    dens = [vertex_set.scale] * len(vertex_set) + dens
+    dens = [vertex_set.scale] * len(vertex_set) + list(dens)
     batch = assert_kernel_matches_oracle(logic, rows, dens, vertices + mixtures)
     assert batch.valid.all()
     assert {s.numerators.dtype for s in batch.states} == {np.dtype(np.int64)}
@@ -461,6 +459,106 @@ def test_first_well_definedness_failure_matches_oracle(chsh_logic, chsh_vertex_s
     text = well_definedness_text(oracles.first_step_failure(chsh_logic, prs[-2]))
     with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
         tables.extend(x, den)
+
+
+# -- the chunk walk: one row per chunk changes nothing ---------------------------------
+
+
+def one_row_chunks(monkeypatch):
+    """Make every chunk of the kernel walk one row, and return the chunk sizes seen."""
+    monkeypatch.setattr(bl.states, "_CHUNK_ENTRIES", 1)
+    sizes, batch = [], bl.states._StateTables.batch
+
+    def counted(self, rows, dens):
+        sizes.append(len(rows))
+        return batch(self, rows, dens)
+
+    monkeypatch.setattr(bl.states._StateTables, "batch", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("scenario", ["chsh", "three_input"])
+def test_one_row_chunks_give_the_same_report(request, monkeypatch, scenario):
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    default = canonical_json(bl.verify_scenario(logic.spec, seed=5, logic=logic))
+    sizes = one_row_chunks(monkeypatch)
+    assert canonical_json(bl.verify_scenario(logic.spec, seed=5, logic=logic)) == default
+    vertices = {"chsh": 24, "three_input": 1408}[scenario]
+    assert sizes == [1] * (vertices + 100)
+
+
+@pytest.mark.parametrize("k", [0, 5, 23])
+def test_an_invalid_vertex_keeps_its_place_past_the_first_chunk(
+    chsh_logic, monkeypatch, invalid_vertex, k
+):
+    invalid_vertex(k)
+    default = bl.verify_scenario(CHSH, sample_count=10, logic=chsh_logic)
+    one_row_chunks(monkeypatch)
+    assert bl.verify_scenario(CHSH, sample_count=10, logic=chsh_logic) == default
+    section = default["state_correspondence"]
+    assert (section["all_tables_valid"], section["round_trip_failures"]) == (False, 0)
+    assert section["monotonicity"] == {"ok": True, "checked": 23 * chsh_logic.comparable_count()}
+    assert section["order_determining"]["states_used"] == 23
+
+
+def test_an_invalid_mixture_fails_the_section(chsh_logic, monkeypatch):
+    mixture_rows = bl.states._mixture_rows
+
+    def with_a_zero_table(rows, scale, count, seed):
+        yield from mixture_rows(rows, scale, count, seed)
+        yield [0] * len(rows[0]), 1
+
+    monkeypatch.setattr(bl.states, "_mixture_rows", with_a_zero_table)
+    report = bl.verify_scenario(CHSH, sample_count=10, logic=chsh_logic)
+    section = report["state_correspondence"]
+    assert (section["all_tables_valid"], section["round_trip_failures"]) == (False, 0)
+    assert section["order_determining"]["states_used"] == 24
+    assert report["all_passed"] is False
+
+
+def test_a_monotonicity_break_keeps_its_index_past_the_first_chunk(
+    chsh_logic, chsh_polytope, monkeypatch
+):
+    # the kernel gives vertex 5 the value 0 on every element but the atoms, the empty
+    # set and the full set: its table still reads back, but a step above a positive
+    # atom falls
+    logic, (_, vertex_set) = chsh_logic, chsh_polytope
+    target, _ = bl.states._state_tables(logic).batch([vertex_set.scaled[5]], [vertex_set.scale])
+    keep = np.zeros(len(logic.elements), dtype=bool)
+    keep[[*logic.atom_indices, logic.index_of(0), logic.index_of(logic.full_mask)]] = True
+    values = bl.states._StateTables.values
+
+    def broken(self, x):
+        out = values(self, x)
+        out[np.ix_((x == target).all(axis=1), ~keep)] = 0
+        return out
+
+    monkeypatch.setattr(bl.states._StateTables, "values", broken)
+    default = bl.verify_scenario(CHSH, sample_count=10, logic=logic)
+    one_row_chunks(monkeypatch)
+    assert bl.verify_scenario(CHSH, sample_count=10, logic=logic) == default
+    section = default["state_correspondence"]
+    assert (section["all_tables_valid"], section["round_trip_failures"]) == (True, 0)
+    assert section["monotonicity"] == {"ok": False, "checked": 5 * logic.comparable_count()}
+    assert default["all_passed"] is False
+
+
+def test_a_well_definedness_break_keeps_its_message_past_the_first_chunk(
+    chsh_logic, chsh_vertex_states, monkeypatch
+):
+    prs = [*chsh_vertex_states * 3, signalling_table(CHSH), signalling_past_int64(CHSH)]
+    rows, dens = zip(*(table_row(chsh_logic, pr) for pr in prs))
+    text = well_definedness_text(oracles.first_step_failure(chsh_logic, prs[-2]))
+    # every row passes validation, so the signalling tables reach the step check
+    monkeypatch.setattr(
+        bl.states._StateTables, "valid", lambda self, x, den: np.ones(len(x), dtype=bool)
+    )
+    with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
+        bl.states.round_trip_rows(chsh_logic, rows, dens)
+    sizes = one_row_chunks(monkeypatch)
+    with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
+        bl.states.round_trip_rows(chsh_logic, rows, dens)
+    assert sizes == [1] * (len(prs) - 1)
 
 
 # -- the step certificate against every atomic partition ------------------------------
@@ -761,7 +859,9 @@ def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex
         # half of the points certified, the rest left to the scan
         chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
         chosen.append(_altered_deterministic(logic, states, classes))
-        assert bl.states._certified_points(logic, chosen).bit_count() == 32
+        witnesses = bl.states._OrderWitnesses(logic, scan_limit=128)
+        witnesses.add([s.numerators for s in chosen], [s.denominator for s in chosen])
+        assert witnesses.certified.bit_count() == 32
     fast = bl.check_order_determining(logic, chosen)
     scan = bl.check_order_determining(logic, chosen, scan_limit=1000)
     assert fast.strategy != scan.strategy
@@ -771,6 +871,39 @@ def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex
     del fast_dict["strategy"], scan_dict["strategy"]
     assert fast_dict == scan_dict
     assert fast.ok == (case == "nonlocal_vertices")
+
+
+def test_candidate_pairs_in_small_blocks_give_the_same_failures(
+    three_input_logic, three_input_vertex_states, monkeypatch
+):
+    logic = three_input_logic
+    states, classes = three_input_vertex_states
+    chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
+    chosen.append(_altered_deterministic(logic, states, classes))
+    expect = [bl.check_order_determining(logic, chosen, scan_limit=limit) for limit in (128, 1000)]
+    assert [len(report.failures) for report in expect] == [bl.states._FAILURE_LIMIT] * 2
+    monkeypatch.setattr(bl.states, "_PAIR_BLOCK", 7)
+    got = [bl.check_order_determining(logic, chosen, scan_limit=limit) for limit in (128, 1000)]
+    assert got == expect
+
+
+def test_verify_walks_the_vertices_again_for_an_uncertified_point(
+    three_input_logic, three_input_vertex_states, monkeypatch, invalid_vertex
+):
+    # with every other deterministic vertex made invalid, half of the sample points
+    # are certified by no state, so the order check walks the vertex rows again
+    states, classes = three_input_vertex_states
+    dropped = [k for k, cls in enumerate(classes) if cls == "deterministic"][::2]
+    invalid_vertex(*dropped)
+    kept = [s for k, s in enumerate(states) if k not in dropped]
+    scan = bl.check_order_determining(three_input_logic, kept, scan_limit=1000)
+    expect = {**scan.to_dict(), "strategy": "point-state witnesses, verified against stored values"}
+    section = bl.verify_scenario(THREE_INPUT, sample_count=0, logic=three_input_logic)
+    assert section["state_correspondence"]["order_determining"] == expect
+    sizes = one_row_chunks(monkeypatch)
+    section = bl.verify_scenario(THREE_INPUT, sample_count=0, logic=three_input_logic)
+    assert section["state_correspondence"]["order_determining"] == expect
+    assert len(sizes) == 2 * 1408
 
 
 # -- monotonicity and additivity against all-pairs scans ------------------------------
