@@ -11,14 +11,16 @@ Relations between elements come from two mechanisms.  All-pairs scans
 use the vertical tid-list bitmaps of Zaki (IEEE TKDE 2000): for each
 sample point x the table keeps a Python int whose bit i is set when
 element i contains x, and set bits are walked exactly with ``m & -m``
-and ``bit_length``; the pair generators and counts use them.  The
-closure, the Hasse covers, the state kernel and the certificate of the
-structural checks walk the atom steps p -> p | a, one per atom a
-disjoint from p.
+and ``bit_length``; the pair generators and counts use them.  The other
+walks the atom steps p -> p | a, one per atom a disjoint from p: the
+closure grows the family along them, and each logic walks its table's
+steps once, into one step table that the certificate of the structural
+checks, the Hasse covers and the state kernel all read.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
@@ -30,7 +32,6 @@ from .errors import (
     ScenarioError,
     TheoremViolation,
 )
-from .linalg import np
 from .scenario import (
     AtomId,
     BoxWorldSpec,
@@ -110,8 +111,7 @@ class ConcreteLogic:
         self._columns: Optional[list[int]] = None
         self._atomistic: Optional[bool] = None
         self._comparable_total: Optional[int] = None
-        self._closed: Optional[bool] = None
-        self._step_cache: Optional[np.ndarray] = None
+        self._steps: tuple[array, array] | str | None = None  # see _step_table
 
     # -- basic queries ---------------------------------------------------
 
@@ -216,16 +216,13 @@ class ConcreteLogic:
         if None not in self.complement_map:
             m = self.index.get(self._downset_union(s ^ self.full_mask))
             return None if m is None else self.complement_map[m]
-        # fall back for tables that are not complement-closed
-        meet_of_upper = self.full_mask
-        found = False
+        # tables that are not complement-closed: the least upper bound is the
+        # intersection of the upper bounds, when that is an element
+        meet_of_upper, found = self.full_mask, False
         for e in self.elements:
             if e & s == s:
-                meet_of_upper &= e
-                found = True
-        if not found:
-            return None
-        return self.index.get(meet_of_upper) if meet_of_upper & s == s else None
+                meet_of_upper, found = meet_of_upper & e, True
+        return self.index.get(meet_of_upper) if found else None
 
     def _downset_union(self, s: int) -> int:
         return _union_below(self.atom_bits if self.atomistic() else self.elements, s)
@@ -273,9 +270,10 @@ class ConcreteLogic:
 
     # -- atom steps and exports ---------------------------------------------
 
-    def _atom_steps(self) -> Iterator[tuple[int, int, int]]:
-        """(i, atom element, index of element i | atom), for each element i
-        and atom disjoint from it, in (i, upper) order.
+    def _atom_steps(self) -> tuple[array, array]:
+        """The atom steps i -> i | a, for each element i and atom a disjoint
+        from it, as (offsets, uppers): the steps of i go to the elements
+        ``uppers[offsets[i]:offsets[i + 1]]``, in index order.
 
         Raises TheoremViolation, when the walk reaches the first element that
         breaks it, unless every element has its complement, the atoms are the
@@ -295,15 +293,16 @@ class ConcreteLogic:
         if 0 in atoms or any(b & a == b != a for a in atoms for b in atoms):
             self._refuse_steps()
         index, full = self.index, self.full_mask
-        pairs = list(zip(atoms, self.atom_indices))
+        offsets, uppers = array("i", [0]), array("i")
         for i, e in enumerate(self.elements):
             # distinct atoms disjoint from e have distinct unions with it
-            steps = sorted([(index.get(e | a, -1), k) for a, k in pairs if not e & a])
+            steps = sorted([index.get(e | a, -1) for a in atoms if not e & a])
             # a missing union sorts first, as -1; only the full set has no step
-            if steps[0][0] < 0 if steps else e != full:
+            if steps[0] < 0 if steps else e != full:
                 self._refuse_steps(i)
-            for upper, k in steps:
-                yield i, k, upper
+            uppers.extend(steps)
+            offsets.append(len(uppers))
+        return offsets, uppers
 
     def _refuse_steps(self, i: Optional[int] = None) -> NoReturn:
         """Raise the step walk's TheoremViolation, once it has found that the
@@ -319,25 +318,27 @@ class ConcreteLogic:
         )
         raise TheoremViolation(f"disjoint element {i} and atom {k} have no union in the table")
 
+    def _step_table(self) -> tuple[array, array]:
+        """The table of ``_atom_steps()``, walked once; a refusal keeps its message
+        and is raised again on every call."""
+        if self._steps is None:
+            try:
+                self._steps = self._atom_steps()
+            except TheoremViolation as exc:
+                self._steps = str(exc)
+        if isinstance(self._steps, str):
+            raise TheoremViolation(self._steps)
+        return self._steps
+
     def _certified(self) -> bool:
         """Closed under complement and disjoint union, with the minimal nonzero
         elements as atoms: the table holds the empty set, without which the
-        walk can pass vacuously, and ``_atom_steps()`` walks through, once."""
-        if self._closed is None:
-            self._closed = 0 in self.index
-            try:
-                for _ in self._atom_steps() if self._closed else ():
-                    pass
-            except TheoremViolation:
-                self._closed = False
-        return self._closed
-
-    def _step_arrays(self) -> np.ndarray:
-        """``_atom_steps()`` as a read-only 3 x S array (lower, atom, upper), walked once."""
-        if self._step_cache is None:
-            self._step_cache = np.array(list(self._atom_steps()), dtype=np.intp).reshape(-1, 3).T
-            self._step_cache.flags.writeable = False
-        return self._step_cache
+        walk can pass vacuously, and the step walk passes."""
+        try:
+            self._step_table()
+        except TheoremViolation:
+            return False
+        return 0 in self.index
 
     def covers(self) -> list[tuple[int, int]]:
         """Edges (i, j) of the Hasse diagram, sorted: j covers i.
@@ -346,7 +347,9 @@ class ConcreteLogic:
         TheoremViolation), q - p = (p | q')' is an element for p below q, so
         q covers p exactly when q - p is an atom: the covers are the steps.
         """
-        return [(i, upper) for i, _, upper in self._atom_steps()]
+        offsets, uppers = self._step_table()
+        ids = list(self.index.values())  # the index's int objects: the edges allocate none
+        return [(i, ids[u]) for i in ids for u in uppers[offsets[i] : offsets[i + 1]]]
 
 
 class Logic(ConcreteLogic):
@@ -682,20 +685,16 @@ def disjoint_atom_union_report(logic: ConcreteLogic) -> dict:
     This converse of atomic coverage is reported, not assumed.
     """
     atoms = logic.atom_bits
-    missing = 0
     unions: set[int] = set()
 
     def rec(start: int, acc: int) -> None:
-        nonlocal missing
         unions.add(acc)
         for i in range(start, len(atoms)):
             if acc & atoms[i] == 0:
                 rec(i + 1, acc | atoms[i])
 
     rec(0, 0)
-    for u in unions:
-        if u not in logic.index:
-            missing += 1
+    missing = sum(u not in logic.index for u in unions)
     return {
         "holds": missing == 0,
         "distinct_unions": len(unions),

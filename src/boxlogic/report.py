@@ -35,6 +35,9 @@ except ImportError:
 DEFAULT_SAMPLE_COUNT = 100
 # the most seeded mixtures `verify --samples` accepts
 MAX_SAMPLE_COUNT = 100_000
+# the compatibility survey takes every pair up to this many elements, else this many seeded ones
+_SURVEY_EXHAUSTIVE_LIMIT = 600
+_SURVEY_SAMPLE_PAIRS = 20000
 
 
 def scenario_hash(spec: BoxWorldSpec) -> str:
@@ -149,22 +152,18 @@ def verify_scenario(
     return report
 
 
-def _compatibility_survey(
-    logic: Logic, seed: int, *, exhaustive_limit: int = 600, sample_pairs: int = 20000
-) -> dict:
+def _compatibility_survey(logic: Logic, seed: int) -> dict:
     """How often arbitrary element pairs are compatible; reported, not asserted."""
     import random
 
     n = len(logic.elements)
-    if n <= exhaustive_limit:
+    if n <= _SURVEY_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         mode = "seeded_sample"
         rng = random.Random(seed)
-        pairs = [
-            (rng.randrange(n), rng.randrange(n)) for _ in range(sample_pairs)
-        ]
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(_SURVEY_SAMPLE_PAIRS)]
     elements, index = logic.elements, logic.index
     compatible = sum(_compatible_bits(index, elements[i], elements[j]) for i, j in pairs)
     return {

@@ -78,10 +78,15 @@ class BoxWorldSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoxWorldSpec":
+        """A spec from ``{"left": [...], "right": [...]}``, each side a list of
+        outcome-label lists; another key or a label that is not a string is refused."""
         try:
             sides = (data["left"], data["right"])
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed scenario object: {exc}") from exc
+        for key in data:
+            if key not in ("left", "right"):
+                raise ScenarioError(f"unknown scenario key {key!r}")
         for side_name, inputs in zip(("left", "right"), sides):
             if not isinstance(inputs, list) or not all(
                 isinstance(inp, list) for inp in inputs
@@ -89,9 +94,11 @@ class BoxWorldSpec:
                 raise ScenarioError(
                     f"{side_name} box must be a list of outcome-label lists"
                 )
-        left, right = (
-            tuple(tuple(str(x) for x in inp) for inp in inputs) for inputs in sides
-        )
+            for k, outcomes in enumerate(inputs):
+                for label in outcomes:
+                    if not isinstance(label, str):
+                        raise ScenarioError(f"{side_name} input {k} has label {label!r}, not a string")
+        left, right = (tuple(map(tuple, inputs)) for inputs in sides)
         return cls(left, right)
 
     def to_dict(self) -> dict:

@@ -267,7 +267,7 @@ class _StateTables:
         self.eq_rhs = np.array(hrep.eq_rhs, dtype=np.int64)
         self.atom_elems = np.array(logic.atom_indices, dtype=np.intp)
         self.full = logic.index_of(logic.full_mask)
-        lower, atom, upper = self.steps = logic._step_arrays()
+        lower, atom, upper = self.steps = _step_arrays(logic)
         pos = np.zeros(n, dtype=np.intp)
         pos[self.atom_elems] = np.arange(natoms)
         pos = pos[atom]  # the atom position of each step
@@ -390,7 +390,7 @@ def pr_from_state(state: LogicState) -> PRState:
     if not isinstance(logic, Logic):
         raise StateError("a scenario logic is required to extract a table")
     if not state.additive_checked and not verify_state_additivity(state):
-        i, j, u = _first_step_failure(state.numerators, logic._step_arrays())
+        i, j, u = _first_step_failure(state.numerators, _step_arrays(logic))
         raise StateError(
             f"state is not additive: elements {i} and {j} are disjoint with "
             f"union {u}, but values do not add"
@@ -398,43 +398,6 @@ def pr_from_state(state: LogicState) -> PRState:
     tables = _state_tables(logic)
     den = np.array([state.denominator], dtype=state.numerators.dtype)
     return tables.table(tables.read_back(state.numerators[None, :], den)[0], state.denominator)
-
-
-@dataclass
-class RoundTrip:
-    """A batch of tables taken to states and back.
-
-    ``valid`` flags the input rows that are tables; ``states`` holds the
-    state of each valid row and None for the others; ``failures`` counts
-    valid rows whose read-back table differs from the row.
-    """
-
-    valid: np.ndarray
-    states: list[Optional[LogicState]]
-    failures: int
-
-
-def round_trip_rows(
-    logic: Logic, rows: Sequence[Sequence[int]], dens: Sequence[int]
-) -> RoundTrip:
-    """Validate, extend and read back a batch of tables in one kernel pass.
-
-    Row k is the table ``rows[k] / dens[k]``, one column per atom in
-    ``logic.atom_ids`` order.  Rows that are not tables are flagged and
-    left out; on the others a well-definedness or read-back failure raises
-    as in ``state_from_pr`` and ``pr_from_state``, for the first failing
-    chunk of ``_walk_tables``.
-    """
-    valid, states, failures = [np.zeros(0, dtype=bool)], [], 0
-    for ok, values, den, bad in _walk_tables(logic, zip(rows, dens)):
-        valid.append(ok)
-        failures += bad
-        kept = zip(den.tolist(), values)
-        states += [
-            LogicState(logic, *next(kept), additive_checked=True) if flag else None
-            for flag in ok.tolist()
-        ]
-    return RoundTrip(np.concatenate(valid), states, failures)
 
 
 def _walk_tables(
@@ -449,7 +412,7 @@ def _walk_tables(
     """
     tables = _state_tables(logic)
     # a row's values or its step gathers, whichever is wider
-    size = max(1, _CHUNK_ENTRIES // max(len(logic.elements), tables.steps.shape[1]))
+    size = max(1, _CHUNK_ENTRIES // max(len(logic.elements), tables.steps[0].size))
     rows = iter(rows)
     while chunk := list(islice(rows, size)):
         x, den = tables.batch(*zip(*chunk))
@@ -460,11 +423,22 @@ def _walk_tables(
         yield ok, values, den, int((tables.read_back(values, den) != x).any(axis=1).sum())
 
 
-def _first_step_failure(nums: np.ndarray, steps: np.ndarray) -> Optional[tuple[int, int, int]]:
+def _step_arrays(logic: ConcreteLogic) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The logic's step table as index arrays (lower, atom, upper): the atom is upper - lower."""
+    offsets, uppers = logic._step_table()
+    lower = np.repeat(np.arange(len(logic.elements)), np.diff(offsets))
+    elements, index = logic.elements, logic.index
+    atom = [index[elements[u] ^ elements[i]] for i, u in zip(lower.tolist(), uppers)]
+    return lower, np.array(atom, dtype=np.intp), np.array(uppers, dtype=np.intp)
+
+
+def _first_step_failure(
+    nums: np.ndarray, steps: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> Optional[tuple[int, int, int]]:
     """The first atom step (lower, atom, upper) whose values do not add."""
     lower, atom, upper = steps
     bad = np.flatnonzero(nums[lower] + nums[atom] != nums[upper])
-    return tuple(int(v) for v in steps[:, bad[0]]) if bad.size else None
+    return tuple(int(v[bad[0]]) for v in steps) if bad.size else None
 
 
 def verify_state_additivity(state: LogicState) -> bool:
@@ -474,7 +448,7 @@ def verify_state_additivity(state: LogicState) -> bool:
     a disjoint union of atoms, so value(p | a) = value(p) + value(a) on the
     steps chains to every disjoint pair.
     """
-    ok = _first_step_failure(state.numerators, state.logic._step_arrays()) is None
+    ok = _first_step_failure(state.numerators, _step_arrays(state.logic)) is None
     if ok:
         state.additive_checked = True
     return ok
@@ -571,15 +545,15 @@ class OrderDeterminingReport:
 class _OrderWitnesses:
     """What ``check_order_determining`` gathers in one pass over value rows.
 
-    Up to ``scan_limit`` elements, the mask of the pairs (p, q) with
-    value(p) > value(q) in some state, at most 16K entries at the default
-    limit; past it, the mask of certified sample points.
+    Up to ``_SCAN_LIMIT`` elements, the mask of the pairs (p, q) with
+    value(p) > value(q) in some state, at most 16K entries; past it, the
+    mask of certified sample points.
     """
 
-    def __init__(self, logic: ConcreteLogic, scan_limit: int):
+    def __init__(self, logic: ConcreteLogic):
         n = len(logic.elements)
         self.logic, self.states, self.certified = logic, 0, 0
-        self.witnessed = np.zeros((n, n), dtype=bool) if n <= scan_limit else None
+        self.witnessed = np.zeros((n, n), dtype=bool) if n <= _SCAN_LIMIT else None
         self.points_by_column: dict[int, int] = {}
         if self.witnessed is None:
             for x in range(logic.ground_size):
@@ -636,14 +610,11 @@ class _OrderWitnesses:
 
 
 def check_order_determining(
-    logic: ConcreteLogic,
-    states: Sequence[LogicState],
-    *,
-    scan_limit: int = _SCAN_LIMIT,
+    logic: ConcreteLogic, states: Sequence[LogicState]
 ) -> OrderDeterminingReport:
     """For every pair p not below q, find a state with value(p) > value(q).
 
-    Pairs with p below q are skipped.  On tables up to ``scan_limit``
+    Pairs with p below q are skipped.  On tables up to ``_SCAN_LIMIT``
     elements every other pair is scanned against all states.  Larger
     tables first certify sample points: a point is certified when some
     state equals that point's indicator exactly on every element (1 on
@@ -653,7 +624,7 @@ def check_order_determining(
     all-states scan.  Both paths report the first ``_FAILURE_LIMIT``
     unwitnessed pairs in ascending (p, q) order.
     """
-    witnesses = _OrderWitnesses(logic, scan_limit)
+    witnesses = _OrderWitnesses(logic)
     rows = [s.numerators for s in states], [s.denominator for s in states]
     witnesses.add(*rows)
     return witnesses.report(lambda: [rows])
@@ -664,9 +635,7 @@ class _Monotonicity:
 
     def __init__(self, logic: ConcreteLogic):
         self.logic = logic
-        lower, _, upper = logic._step_arrays()
-        order = np.lexsort((upper, lower))  # gathers in element order run faster
-        self.lower, self.upper = lower[order], upper[order]
+        self.lower, _, self.upper = _step_arrays(logic)
         self.rows, self.first_break = 0, None
 
     def add(self, values: Sequence[np.ndarray]) -> None:
@@ -713,7 +682,7 @@ def check_table_rows(
     ``check_order_determining``; only that check walks the vertices a
     second time, and only when some sample point stays uncertified.
     """
-    monotonicity, witnesses = _Monotonicity(logic), _OrderWitnesses(logic, _SCAN_LIMIT)
+    monotonicity, witnesses = _Monotonicity(logic), _OrderWitnesses(logic)
 
     def vertices():
         return _walk_tables(logic, ((row, scale) for row in rows))

@@ -72,6 +72,26 @@ def test_build_rejects_side_that_is_not_a_list_of_lists(tmp_path, capsys, right)
     assert err == "error: right box must be a list of outcome-label lists\n"
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (
+            {"left": [[[0], {"x": 1}]], "right": [["a", "b"]]},
+            "left input 0 has label [0], not a string",
+        ),
+        ({"left": [["a", "b"]], "right": [["a", "b"], ["a", 1]]}, "right input 1 has label 1, not a string"),
+        ({"left": [["a", "b"]], "right": [["a", "b"]], "oops": 1}, "unknown scenario key 'oops'"),
+    ],
+    ids=["list-label", "integer-label", "unknown-key"],
+)
+def test_build_rejects_non_string_labels_and_unknown_keys(tmp_path, capsys, scenario, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scenario))
+    for command in (["build"], ["verify"], ["export", "json"]):
+        code, out, err = run(capsys, [*command, str(bad)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_build_malformed_json(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

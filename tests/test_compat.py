@@ -265,9 +265,11 @@ UNCLOSED = bl.ConcreteLogic(3, [0, 0b001, 0b010, 0b011, 0b110, 0b111])
     [("chsh", 600), ("chsh", 10), ("unclosed", 600)],
     ids=["exhaustive", "seeded_sample", "unclosed_table"],
 )
-def test_compatibility_survey_counts_the_defining_search(chsh_logic, table, limit):
+def test_compatibility_survey_counts_the_defining_search(chsh_logic, monkeypatch, table, limit):
     logic = chsh_logic if table == "chsh" else UNCLOSED
-    survey = _compatibility_survey(logic, 7, exhaustive_limit=limit, sample_pairs=500)
+    monkeypatch.setattr(bl.report, "_SURVEY_EXHAUSTIVE_LIMIT", limit)
+    monkeypatch.setattr(bl.report, "_SURVEY_SAMPLE_PAIRS", 500)
+    survey = _compatibility_survey(logic, 7)
     n = len(logic.elements)
     if limit >= n:
         pairs = [(i, j) for i in range(n) for j in range(i, n)]

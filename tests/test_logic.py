@@ -599,10 +599,28 @@ def test_step_walk_refuses_as_the_naive_checks_do():
         if expected is None:
             assert logic.covers() == oracles.naive_covers(logic.elements)
         else:
-            with pytest.raises(bl.TheoremViolation) as refused:
-                logic.covers()
-            assert str(refused.value) == expected
+            # the walk's refusal is kept: a second call raises it again
+            for _ in range(2):
+                with pytest.raises(bl.TheoremViolation) as refused:
+                    logic.covers()
+                assert str(refused.value) == expected
         assert logic._certified() == (expected is None and 0 in logic.index)
         outcomes[(expected or "passes").split()[-1]] += 1
     # every kind of refusal, and passing tables, are drawn
     assert set(outcomes) == {"passes", "table", "both"} and min(outcomes.values()) > 100
+
+
+@pytest.mark.parametrize("scenario", ["chsh", "three_input"])
+def test_step_table_is_in_walk_order(request, scenario):
+    """Every reader sees the steps in (lower, upper) order, the order the
+    monotonicity gathers run in, with the atom upper - lower."""
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    expect = [(i, logic.atom_indices[pos], u) for i, pos, u in oracles.atom_steps(logic)]
+    assert expect == sorted(expect, key=lambda step: (step[0], step[2]))
+    lower, atom, upper = bl.states._step_arrays(logic)
+    assert list(zip(lower.tolist(), atom.tolist(), upper.tolist())) == expect
+    edges = logic.covers()
+    assert edges == [(i, u) for i, _, u in expect]
+    # the list is the caller's own
+    edges.clear()
+    assert logic.covers() == [(i, u) for i, _, u in expect]

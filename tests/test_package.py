@@ -80,6 +80,7 @@ def test_names_import_their_module_on_first_read():
     ).stdout.splitlines()
     assert out == [
         "[]",
-        "['boxlogic.errors', 'boxlogic.linalg', 'boxlogic.logic', 'boxlogic.scenario']",
+        # the logic layer computes without numpy, so it does not load the lazy handle
+        "['boxlogic.errors', 'boxlogic.logic', 'boxlogic.scenario']",
         "True False",
     ]

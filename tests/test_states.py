@@ -369,14 +369,30 @@ def invalid_tables(spec):
     ]
 
 
+def walk_rows(logic, rows, dens):
+    """The tables ``rows[k] / dens[k]`` through the kernel walk: the valid flag
+    of each row, the state of each valid one (None for the others) and how
+    many valid rows read back another table."""
+    valid, states, failures = [], [], 0
+    for ok, values, den, bad in bl.states._walk_tables(logic, zip(rows, dens)):
+        kept = zip(den.tolist(), values)
+        valid += ok.tolist()
+        states += [
+            bl.LogicState(logic, *next(kept), additive_checked=True) if flag else None
+            for flag in ok.tolist()
+        ]
+        failures += bad
+    return valid, states, failures
+
+
 def assert_kernel_matches_oracle(logic, rows, dens, prs):
     partitions = oracles.element_partitions(logic)
-    batch = bl.states.round_trip_rows(logic, rows, dens)
-    assert batch.failures == 0
+    valid, states, failures = walk_rows(logic, rows, dens)
+    assert failures == 0
     for k, pr in enumerate(prs):
         expect = oracles.state_oracle(logic, partitions, pr)
-        assert bool(batch.valid[k]) == expect["valid"]
-        state = batch.states[k]
+        assert valid[k] == expect["valid"]
+        state = states[k]
         if not expect["valid"]:
             assert state is None
             continue
@@ -386,7 +402,7 @@ def assert_kernel_matches_oracle(logic, rows, dens, prs):
             v * state.denominator for v in expect["numerators"]
         ]
         assert bl.pr_from_state(state).table == pr.table
-    return batch
+    return valid, states
 
 
 @pytest.mark.parametrize("scenario", ["chsh", "three_input"])
@@ -405,25 +421,25 @@ def test_kernel_matches_oracle_on_vertices_and_mixtures(request, scenario):
         ]
     rows = [*vertex_set.scaled, *mixed]
     dens = [vertex_set.scale] * len(vertex_set) + list(dens)
-    batch = assert_kernel_matches_oracle(logic, rows, dens, vertices + mixtures)
-    assert batch.valid.all()
-    assert {s.numerators.dtype for s in batch.states} == {np.dtype(np.int64)}
+    valid, states = assert_kernel_matches_oracle(logic, rows, dens, vertices + mixtures)
+    assert all(valid)
+    assert {s.numerators.dtype for s in states} == {np.dtype(np.int64)}
 
 
 def test_kernel_matches_oracle_past_int64(chsh_logic):
     prs = [past_int64_mixture(CHSH), pr_box(CHSH), signalling_past_int64(CHSH)]
     rows, dens = zip(*(table_row(chsh_logic, pr) for pr in prs))
-    batch = assert_kernel_matches_oracle(chsh_logic, rows, dens, prs)
-    assert batch.valid.tolist() == [True, True, False]
-    assert batch.states[0].numerators.dtype == object
+    valid, states = assert_kernel_matches_oracle(chsh_logic, rows, dens, prs)
+    assert valid == [True, True, False]
+    assert states[0].numerators.dtype == object
 
 
 def test_batch_flags_exactly_the_invalid_rows(chsh_logic, chsh_vertex_states):
     bad = invalid_tables(CHSH)
     prs = [*chsh_vertex_states[:3], bad[0], chsh_vertex_states[3], *bad[1:]]
     rows, dens = zip(*(table_row(chsh_logic, pr) for pr in prs))
-    batch = assert_kernel_matches_oracle(chsh_logic, rows, dens, prs)
-    assert batch.valid.tolist() == [True] * 3 + [False, True] + [False] * 3
+    valid, _ = assert_kernel_matches_oracle(chsh_logic, rows, dens, prs)
+    assert valid == [True] * 3 + [False, True] + [False] * 3
     for pr in bad:
         violations = bl.validate_pr_state(pr)
         text = f"table violates {len(violations)} constraint(s); first: {violations[0].to_dict()}"
@@ -554,10 +570,10 @@ def test_a_well_definedness_break_keeps_its_message_past_the_first_chunk(
         bl.states._StateTables, "valid", lambda self, x, den: np.ones(len(x), dtype=bool)
     )
     with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
-        bl.states.round_trip_rows(chsh_logic, rows, dens)
+        walk_rows(chsh_logic, rows, dens)
     sizes = one_row_chunks(monkeypatch)
     with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
-        bl.states.round_trip_rows(chsh_logic, rows, dens)
+        walk_rows(chsh_logic, rows, dens)
     assert sizes == [1] * (len(prs) - 1)
 
 
@@ -656,6 +672,8 @@ def test_constraint_rows_are_the_distinct_step_rows(request, scenario):
 
 
 def test_state_kernel_walks_the_steps_once():
+    """The structural checks, the state section, the exports and the state
+    readers of one logic all read the table of its one step walk."""
     logic = bl.close_logic(CHSH)
     walk, walks = logic._atom_steps, []
 
@@ -664,11 +682,13 @@ def test_state_kernel_walks_the_steps_once():
         return walk()
 
     logic._atom_steps = counted
+    assert bl.verify_scenario(CHSH, sample_count=10, logic=logic)["all_passed"]
+    assert logic.covers() == oracles.naive_covers(logic.elements)
     point = bl.point_state(logic, 0)
     unchecked = bl.LogicState(logic, 1, point.numerators)
     assert bl.pr_from_state(unchecked) == bl.pr_from_state(point)
     rows, dens = zip(table_row(logic, bl.PRState.uniform(CHSH)), table_row(logic, pr_box(CHSH)))
-    states = bl.states.round_trip_rows(logic, rows, dens).states
+    _, states, _ = walk_rows(logic, rows, dens)
     assert bl.verify_state_monotonicity(logic, [unchecked, *states])[0]
     assert len(walks) == 1
 
@@ -680,7 +700,7 @@ def test_state_kernel_refuses_an_unclosed_table(build):
     with pytest.raises(bl.TheoremViolation):
         bl.state_from_pr(logic, uniform)
     with pytest.raises(bl.TheoremViolation):
-        bl.states.round_trip_rows(logic, *zip(table_row(logic, uniform)))
+        walk_rows(logic, *zip(table_row(logic, uniform)))
     with pytest.raises(bl.TheoremViolation):
         bl.verify_state_monotonicity(logic, [bl.point_state(logic, 0)])
 
@@ -817,10 +837,17 @@ def test_order_not_determined_by_uniform_state_alone(chsh_logic):
     assert report.failures
 
 
+def order_report(logic, states, scan_limit):
+    """``check_order_determining`` with the full scan up to ``scan_limit`` elements."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bl.states, "_SCAN_LIMIT", scan_limit)
+        return bl.check_order_determining(logic, states)
+
+
 def test_vectorized_path_matches_scan(chsh_logic, chsh_vertex_states):
     states = [bl.state_from_pr(chsh_logic, pr) for pr in chsh_vertex_states]
-    scan = bl.check_order_determining(chsh_logic, states, scan_limit=1000)
-    fast = bl.check_order_determining(chsh_logic, states, scan_limit=10)
+    scan = order_report(chsh_logic, states, 1000)
+    fast = order_report(chsh_logic, states, 10)
     assert scan.ok and fast.ok
     assert scan.noncomparable_pairs == fast.noncomparable_pairs
 
@@ -859,11 +886,11 @@ def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex
         # half of the points certified, the rest left to the scan
         chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
         chosen.append(_altered_deterministic(logic, states, classes))
-        witnesses = bl.states._OrderWitnesses(logic, scan_limit=128)
+        witnesses = bl.states._OrderWitnesses(logic)
         witnesses.add([s.numerators for s in chosen], [s.denominator for s in chosen])
         assert witnesses.certified.bit_count() == 32
     fast = bl.check_order_determining(logic, chosen)
-    scan = bl.check_order_determining(logic, chosen, scan_limit=1000)
+    scan = order_report(logic, chosen, 1000)
     assert fast.strategy != scan.strategy
     for report in (fast, scan):
         assert report.failures == sorted(report.failures, key=lambda f: (f["p"], f["q"]))
@@ -880,10 +907,10 @@ def test_candidate_pairs_in_small_blocks_give_the_same_failures(
     states, classes = three_input_vertex_states
     chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
     chosen.append(_altered_deterministic(logic, states, classes))
-    expect = [bl.check_order_determining(logic, chosen, scan_limit=limit) for limit in (128, 1000)]
+    expect = [order_report(logic, chosen, limit) for limit in (128, 1000)]
     assert [len(report.failures) for report in expect] == [bl.states._FAILURE_LIMIT] * 2
     monkeypatch.setattr(bl.states, "_PAIR_BLOCK", 7)
-    got = [bl.check_order_determining(logic, chosen, scan_limit=limit) for limit in (128, 1000)]
+    got = [order_report(logic, chosen, limit) for limit in (128, 1000)]
     assert got == expect
 
 
@@ -896,7 +923,7 @@ def test_verify_walks_the_vertices_again_for_an_uncertified_point(
     dropped = [k for k, cls in enumerate(classes) if cls == "deterministic"][::2]
     invalid_vertex(*dropped)
     kept = [s for k, s in enumerate(states) if k not in dropped]
-    scan = bl.check_order_determining(three_input_logic, kept, scan_limit=1000)
+    scan = order_report(three_input_logic, kept, 1000)
     expect = {**scan.to_dict(), "strategy": "point-state witnesses, verified against stored values"}
     section = bl.verify_scenario(THREE_INPUT, sample_count=0, logic=three_input_logic)
     assert section["state_correspondence"]["order_determining"] == expect
