@@ -25,7 +25,7 @@ from .io import (
     vertices_to_csv,
     write_text,
 )
-from .logic import close_logic, even_set_logic, is_boolean, is_lattice, verify_axioms
+from .logic import _boolean_given_lattice, close_logic, even_set_logic, is_lattice, verify_axioms
 from .polytope import enumerate_vertices, ns_polytope
 from .scenario import Side, default_caps
 
@@ -183,11 +183,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         print(text, end="")
         _emit(text, args.out, "logic.dot")
         if args.out is not None:
-            from .compat import single_box_logic
-
             for side in (Side.LEFT, Side.RIGHT):
-                _, pasting = single_box_logic(logic.gamma, side, big_logic=logic)
-                _emit(pasting_to_dot(pasting), args.out, f"pasting_{side.value}.dot")
+                _emit(pasting_to_dot(spec.sizes(side)), args.out, f"pasting_{side.value}.dot")
     else:
         hrep = ns_polytope(spec, var_cap=caps["polytope_variables"])
         vertex_set = enumerate_vertices(hrep)
@@ -200,12 +197,13 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_fixtures_even_set(args: argparse.Namespace) -> int:
     logic = even_set_logic(args.k)
     axioms = verify_axioms(logic)
+    lattice = is_lattice(logic)
     result = {
         "k": args.k,
         "element_count": len(logic.elements),
         "axioms": axioms.to_dict(),
-        "is_lattice": is_lattice(logic),
-        "is_boolean": is_boolean(logic),
+        "is_lattice": lattice,
+        "is_boolean": _boolean_given_lattice(logic, lattice),
     }
     text = canonical_json(result)
     print(text, end="")

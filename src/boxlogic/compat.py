@@ -6,6 +6,11 @@ logic; a finite set is compatible when one mutually-disjoint refinement
 generates every member.  Compatible families embed into Boolean
 sublogics, and the one-box part of a scenario logic is a bundle of
 Boolean blocks glued at bottom and top.
+
+One box's propositions are read from one table per input, indexed by
+outcome-subset bits: entry r is the set of points where the input shows
+an outcome in r, so entry 0 is the empty set, the last entry the full
+set, and meets and joins within an input are ``r1 & r2`` and ``r1 | r2``.
 """
 
 from __future__ import annotations
@@ -13,14 +18,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, TheoremViolation
 from .logic import CheckResult, ConcreteLogic, Logic, _first_failure, is_lattice, verify_axioms
-from .scenario import GammaIndex, LocalizedSpec, Side, make_localized
+from .scenario import GammaIndex, LocalizedSpec, Side
 
-DEFAULT_SET_BOUND = 12
-DEFAULT_BLOCK_LIMIT = 14
+# is_compatible_set takes at most this many nonempty elements, and
+# boolean_sublogic_containing at most this many blocks
+_SET_BOUND = 12
+_BLOCK_LIMIT = 14
 # verify_localized_propositions checks one-box families of up to this many
 # propositions per box
 _FAMILY_BOUND = 2
@@ -59,12 +66,7 @@ def _compatible_bits(index: dict[int, int], p: int, q: int) -> bool:
     return p & q in index and p & ~q in index and q & ~p in index
 
 
-def is_compatible_set(
-    logic: ConcreteLogic,
-    indices: Sequence[int],
-    *,
-    bound: int = DEFAULT_SET_BOUND,
-) -> Optional[tuple[int, ...]]:
+def is_compatible_set(logic: ConcreteLogic, indices: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Mutually-disjoint generating family for the given elements, or None.
 
     Any generating family must refine the overlap pattern of the inputs,
@@ -78,8 +80,8 @@ def is_compatible_set(
     for i in elems:
         logic._check(i)
     elems = [i for i in elems if logic.elements[i] != 0]
-    if len(elems) > bound:
-        raise CapExceeded(f"{len(elems)} elements, above the bound of {bound}")
+    if len(elems) > _SET_BOUND:
+        raise CapExceeded(f"{len(elems)} elements, above the bound of {_SET_BOUND}")
     if not elems:
         return ()
     full = logic.full_mask
@@ -138,11 +140,7 @@ class BooleanSublogic:
 
 
 def boolean_sublogic_containing(
-    logic: ConcreteLogic,
-    indices: Sequence[int],
-    *,
-    bound: int = DEFAULT_SET_BOUND,
-    block_limit: int = DEFAULT_BLOCK_LIMIT,
+    logic: ConcreteLogic, indices: Sequence[int]
 ) -> Optional[BooleanSublogic]:
     """Smallest Boolean sublogic generated by a compatible set, or None.
 
@@ -150,7 +148,7 @@ def boolean_sublogic_containing(
     set; all unions of block subfamilies form a field of sets inside the
     logic, which is verified rather than assumed.
     """
-    family = is_compatible_set(logic, indices, bound=bound)
+    family = is_compatible_set(logic, indices)
     if family is None:
         return None
     covered = 0
@@ -160,19 +158,13 @@ def boolean_sublogic_containing(
     rest = logic.full_mask & ~covered
     if rest:
         blocks.append(logic.index_of(rest))
-    if len(blocks) > block_limit:
-        raise CapExceeded(f"{len(blocks)} blocks, above the limit of {block_limit}")
+    if len(blocks) > _BLOCK_LIMIT:
+        raise CapExceeded(f"{len(blocks)} blocks, above the limit of {_BLOCK_LIMIT}")
 
-    members: set[int] = set()
-    for r in range(1 << len(blocks)):
-        bits = 0
-        for k, g in enumerate(blocks):
-            if r & (1 << k):
-                bits |= logic.elements[g]
-        idx = logic.index.get(bits)
-        if idx is None:
-            return None
-        members.add(idx)
+    unions = _subset_unions(logic.elements[g] for g in blocks)
+    if any(bits not in logic.index for bits in unions):
+        return None
+    members = {logic.index[bits] for bits in unions}
     ordered = tuple(sorted(members))
     member_bits = {logic.elements[i] for i in ordered}
 
@@ -188,21 +180,38 @@ def boolean_sublogic_containing(
         ),
     }
     if len(ordered) <= 64:
-        ok = True
         bit_list = [logic.elements[i] for i in ordered]
-        for p, q, r in itertools.product(bit_list, repeat=3):
-            if (p | (q & r)) != ((p | q) & (p | r)):
-                ok = False
-                break
-        checks["distributive_triples"] = ok
-    if not all(checks.values()):
-        raise TheoremViolation(
-            f"generated sublogic failed verification: {checks}"
+        checks["distributive_triples"] = all(
+            p | (q & r) == (p | q) & (p | r) for p, q, r in itertools.product(bit_list, repeat=3)
         )
+    if not all(checks.values()):
+        raise TheoremViolation(f"generated sublogic failed verification: {checks}")
     return BooleanSublogic(ordered, tuple(blocks), checks)
 
 
 # -- one-box logics ----------------------------------------------------------
+
+
+def _subset_unions(parts: Iterable[int]) -> list[int]:
+    """Unions of the parts, indexed by subset bits: entry r is the union of
+    the parts at the set bits of r, so entry 0 is empty."""
+    table = [0]
+    for bits in parts:
+        table += [t | bits for t in table]
+    return table
+
+
+def _one_box_tables(gamma: GammaIndex, side: Side) -> list[list[int]]:
+    """Per input of the side, its propositions indexed by outcome-subset bits."""
+    return [
+        _subset_unions(gamma.outcome_mask(side, a, o) for o in range(size))
+        for a, size in enumerate(gamma.spec.sizes(side))
+    ]
+
+
+def _outcomes(r: int) -> list[int]:
+    """The outcomes of the subset with bits r, ascending."""
+    return [o for o in range(r.bit_length()) if r >> o & 1]
 
 
 @dataclass
@@ -230,10 +239,7 @@ class PastingReport:
 
 
 def single_box_logic(
-    gamma: GammaIndex,
-    side: Side,
-    *,
-    big_logic: Optional[Logic] = None,
+    gamma: GammaIndex, side: Side, *, big_logic: Optional[Logic] = None
 ) -> tuple[ConcreteLogic, PastingReport]:
     """One box's propositions, built directly from the scenario.
 
@@ -242,52 +248,33 @@ def single_box_logic(
     blocks meeting only at bottom and top) and, when the full two-box
     logic is supplied, that everything here lies inside it.
     """
-    sizes = gamma.spec.sizes(side)
-    elements: set[int] = {0, gamma.full_mask}
-    for a, size in enumerate(sizes):
-        for r in range(1, (1 << size) - 1):
-            outcomes = [o for o in range(size) if r & (1 << o)]
-            elements.add(make_localized(gamma, LocalizedSpec(side, a, outcomes)))
-    box = ConcreteLogic(gamma.gamma_size, elements)
-    expected = sum((1 << s) - 2 for s in sizes) + 2
+    tables = _one_box_tables(gamma, side)
+    box = ConcreteLogic(gamma.gamma_size, {bits for table in tables for bits in table})
+    expected = sum(len(table) - 2 for table in tables) + 2
 
     failures: list[dict] = []
-    block_tables: list[list[int]] = []
-    nontrivial_blocks: list[set[int]] = []
-    for a, size in enumerate(sizes):
-        table = []
-        for r in range(1 << size):
-            outcomes = [o for o in range(size) if r & (1 << o)]
-            bits = make_localized(gamma, LocalizedSpec(side, a, outcomes)) if outcomes else 0
-            table.append(box.index_of(bits))
-        block_tables.append(table)
-        nontrivial_blocks.append(
-            {idx for r, idx in enumerate(table) if 0 < r < (1 << size) - 1}
-        )
+    block_tables = [[box.index_of(bits) for bits in table] for table in tables]
+    for a, table in enumerate(block_tables):
         # block order and lattice ops must mirror the subset algebra of outcomes
-        for r1 in range(1 << size):
-            for r2 in range(1 << size):
-                i1, i2 = table[r1], table[r2]
+        for r1, i1 in enumerate(table):
+            for r2, i2 in enumerate(table):
                 if box.leq(i1, i2) != (r1 & r2 == r1):
                     failures.append({"input": a, "kind": "order", "pair": [r1, r2]})
                 if box.meet(i1, i2) != table[r1 & r2] or box.join(i1, i2) != table[r1 | r2]:
                     failures.append({"input": a, "kind": "lattice_ops", "pair": [r1, r2]})
+    nontrivial_blocks = [set(table[1:-1]) for table in block_tables]
+    top = block_tables[0][-1]
 
     cross_trivial = True
-    for a1 in range(len(sizes)):
-        for a2 in range(a1 + 1, len(sizes)):
-            if nontrivial_blocks[a1] & nontrivial_blocks[a2]:
-                cross_trivial = False
-                failures.append({"kind": "blocks_share_elements", "inputs": [a1, a2]})
-            for i1 in sorted(nontrivial_blocks[a1]):
-                for i2 in sorted(nontrivial_blocks[a2]):
-                    if box.meet(i1, i2) != 0 or box.join(i1, i2) != box.index_of(
-                        box.full_mask
-                    ):
-                        cross_trivial = False
-                        failures.append(
-                            {"kind": "cross_block_bounds", "pair": [i1, i2]}
-                        )
+    for a1, a2 in itertools.combinations(range(len(tables)), 2):
+        if nontrivial_blocks[a1] & nontrivial_blocks[a2]:
+            cross_trivial = False
+            failures.append({"kind": "blocks_share_elements", "inputs": [a1, a2]})
+        for i1 in sorted(nontrivial_blocks[a1]):
+            for i2 in sorted(nontrivial_blocks[a2]):
+                if box.meet(i1, i2) != 0 or box.join(i1, i2) != top:
+                    cross_trivial = False
+                    failures.append({"kind": "cross_block_bounds", "pair": [i1, i2]})
 
     axioms = verify_axioms(box)
     lattice = is_lattice(box)
@@ -298,39 +285,31 @@ def single_box_logic(
         "orthomodular_lattice": axioms.all_passed and lattice is True,
     }
     if big_logic is not None:
-        flags["inside_two_box_logic"] = all(
-            e in big_logic.index for e in box.elements
-        )
-    report = PastingReport(
-        side=side.value,
-        element_count=len(box.elements),
-        expected_count=expected,
-        block_sizes=[1 << s for s in sizes],
-        block_tables=block_tables,
-        flags=flags,
-        failures=failures,
+        flags["inside_two_box_logic"] = all(e in big_logic.index for e in box.elements)
+    blocks = [len(table) for table in tables]
+    return box, PastingReport(
+        side.value, len(box.elements), expected, blocks, block_tables, flags, failures
     )
-    return box, report
 
 
 # -- one-box propositions inside the two-box logic ---------------------------
 
 
-def enumerate_localized(
-    logic: Logic, side: Side, *, proper_only: bool = True
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """(input, outcome subset, element index) for one-box propositions."""
-    sizes = logic.spec.sizes(side)
-    out = []
-    for a, size in enumerate(sizes):
-        top = (1 << size) - 1
-        for r in range(1, top + 1):
-            if proper_only and r == top:
-                continue
-            outcomes = tuple(o for o in range(size) if r & (1 << o))
-            bits = make_localized(logic.gamma, LocalizedSpec(side, a, outcomes))
-            out.append((a, outcomes, logic.index_of(bits)))
-    return out
+def enumerate_localized(logic: Logic, side: Side) -> list[tuple[int, tuple[int, ...], int]]:
+    """(input, outcome subset, element index) for the proper one-box propositions."""
+    return [
+        (a, tuple(_outcomes(r)), i)
+        for a, r, i in _proper_propositions(logic, _one_box_tables(logic.gamma, side))
+    ]
+
+
+def _proper_propositions(logic: Logic, tables: list[list[int]]) -> list[tuple[int, int, int]]:
+    """(input, outcome-subset bits, element index) for all table entries but the first and last."""
+    return [
+        (a, r, logic.index_of(table[r]))
+        for a, table in enumerate(tables)
+        for r in range(1, len(table) - 1)
+    ]
 
 
 def localized_family_partition(
@@ -343,56 +322,53 @@ def localized_family_partition(
     """Constructive generating family for one-box propositions on inputs a, b.
 
     Outcomes are grouped by their membership pattern across the given
-    subsets; the family consists of the rectangles (left group) x (right
-    group), (left group) x (outcomes outside all right subsets), and
-    symmetrically.  Returns the family and whether it verifies.
+    subsets, the outcomes in none of them forming one more group; the
+    family consists of the rectangles (left group) x (right group), all
+    but the one of the two outside groups.  Returns the family and whether
+    it verifies.  An empty, repeated or out-of-range outcome subset raises
+    ScenarioError.
     """
     gamma = logic.gamma
-    la = logic.spec.left_sizes[a]
-    rb = logic.spec.right_sizes[b]
-    left_union = sorted({o for sub in left_subsets for o in sub})
-    right_union = sorted({o for sub in right_subsets for o in sub})
+    left_bits = [_subset_bits(gamma, Side.LEFT, a, sub) for sub in left_subsets]
+    right_bits = [_subset_bits(gamma, Side.RIGHT, b, sub) for sub in right_subsets]
+    left, right = _one_box_tables(gamma, Side.LEFT)[a], _one_box_tables(gamma, Side.RIGHT)[b]
+    return _family_partition(logic, left, left_bits, right, right_bits)
 
-    def groups(union: list[int], subsets: Sequence[Sequence[int]]) -> list[list[int]]:
-        by_sig: dict[tuple[bool, ...], list[int]] = {}
-        for o in union:
-            sig = tuple(o in set(sub) for sub in subsets)
-            by_sig.setdefault(sig, []).append(o)
-        return [sorted(v) for _, v in sorted(by_sig.items(), key=lambda kv: kv[1])]
 
-    left_groups = groups(left_union, left_subsets)
-    right_groups = groups(right_union, right_subsets)
-    left_rest = [o for o in range(la) if o not in set(left_union)]
-    right_rest = [o for o in range(rb) if o not in set(right_union)]
+def _subset_bits(gamma: GammaIndex, side: Side, k: int, outcomes: Sequence[int]) -> int:
+    r = 0
+    for o in LocalizedSpec(side, k, outcomes).outcomes:  # refuses an empty or repeated subset
+        gamma.outcome_mask(side, k, o)  # refuses an input or outcome out of range
+        r |= 1 << o
+    return r
 
-    def rectangle(left_outcomes: Sequence[int], right_outcomes: Sequence[int]) -> int:
-        lmask = make_localized(gamma, LocalizedSpec(Side.LEFT, a, left_outcomes))
-        return lmask & make_localized(gamma, LocalizedSpec(Side.RIGHT, b, right_outcomes))
 
-    pieces: list[int] = []
-    for lg in left_groups:
-        if right_rest:
-            pieces.append(rectangle(lg, right_rest))
-        for rg in right_groups:
-            pieces.append(rectangle(lg, rg))
-    for rg in right_groups:
-        if left_rest:
-            pieces.append(rectangle(left_rest, rg))
-    pieces = [p for p in pieces if p]
+def _family_partition(
+    logic: Logic, left: list[int], left_bits: list[int], right: list[int], right_bits: list[int]
+) -> Optional[tuple[tuple[int, ...], bool]]:
+    """localized_family_partition on the two inputs' tables, subsets as bits."""
 
+    def groups(table: list[int], subsets: list[int]) -> dict[int, int]:
+        # membership signature -> the outcomes that have it, both as bits
+        out: dict[int, int] = {}
+        for o in range(len(table).bit_length() - 1):  # the table has 2**size entries
+            sig = sum(1 << k for k, r in enumerate(subsets) if r >> o & 1)
+            out[sig] = out.get(sig, 0) | 1 << o
+        return out
+
+    right_groups = groups(right, right_bits).items()
     family = []
-    for p in pieces:
-        idx = logic.index.get(p)
-        if idx is None:
-            return None
-        family.append(idx)
-    inputs = [
-        logic.index_of(make_localized(gamma, LocalizedSpec(side, k, sub)))
-        for side, k, subsets in ((Side.LEFT, a, left_subsets), (Side.RIGHT, b, right_subsets))
-        for sub in subsets
+    for ls, lg in groups(left, left_bits).items():
+        for rs, rg in right_groups:
+            if ls or rs:
+                idx = logic.index.get(left[lg] & right[rg])
+                if idx is None:
+                    return None
+                family.append(idx)
+    inputs = [logic.index_of(left[r]) for r in left_bits] + [
+        logic.index_of(right[s]) for s in right_bits
     ]
-    ok = verify_generating_family(logic, inputs, family)
-    return tuple(sorted(family)), ok
+    return tuple(sorted(family)), verify_generating_family(logic, inputs, family)
 
 
 @dataclass
@@ -426,33 +402,33 @@ def verify_localized_propositions(logic: Logic) -> LocalizedReport:
     counterexample.  The distributivity certificate comes from the first
     incompatible same-side pair the scan passes that yields one.
     """
-    gamma = logic.gamma
-    props = {side: enumerate_localized(logic, side) for side in Side}
+    tables = {side: _one_box_tables(logic.gamma, side) for side in Side}
+    props = {side: _proper_propositions(logic, tables[side]) for side in Side}
 
     def cross_side() -> Iterator[Optional[dict]]:
         # a witness is the rectangle split (p & q, p - q, q - p) by construction
-        for (a, P, ip), (b, Q, iq) in itertools.product(props[Side.LEFT], props[Side.RIGHT]):
+        for (a, r, ip), (b, s, iq) in itertools.product(props[Side.LEFT], props[Side.RIGHT]):
             compatible = are_compatible(logic, ip, iq) is not None
-            yield None if compatible else {"left": [a, list(P)], "right": [b, list(Q)]}
+            yield None if compatible else {"left": [a, _outcomes(r)], "right": [b, _outcomes(s)]}
 
     def same_side_pairs():
         for side in Side:
             for first, second in itertools.product(props[side], repeat=2):
-                where = {
-                    "side": side.value,
-                    "first": [first[0], list(first[1])],
-                    "second": [second[0], list(second[1])],
-                }
-                yield side, first, second, where
+                yield side, first, second
+
+    def where(side: Side, first: tuple, second: tuple) -> dict:
+        (a1, r1, _), (a2, r2, _) = first, second
+        return {"side": side.value, "first": [a1, _outcomes(r1)], "second": [a2, _outcomes(r2)]}
 
     certificate = None
 
     def same_side() -> Iterator[Optional[dict]]:
         nonlocal certificate
-        for _, (a1, _, i1), (a2, _, i2), where in same_side_pairs():
+        for side, first, second in same_side_pairs():
+            (a1, _, i1), (a2, _, i2) = first, second
             compatible = are_compatible(logic, i1, i2) is not None
             if compatible != (a1 == a2):
-                yield {**where, "compatible": compatible}
+                yield {**where(side, first, second), "compatible": compatible}
                 return
             if not compatible and certificate is None:
                 certificate = _distributivity_certificate(logic, i1, i2)
@@ -464,37 +440,40 @@ def verify_localized_propositions(logic: Logic) -> LocalizedReport:
             for side in Side
         }
         for (a, lefts), (b, rights) in itertools.product(*by_input.values()):
+            left, right = tables[Side.LEFT][a], tables[Side.RIGHT][b]
             for k, l in itertools.product(range(_FAMILY_BOUND + 1), repeat=2):
                 if k + l < 2:
                     continue
                 for lchoice, rchoice in itertools.product(
                     itertools.combinations(lefts, k), itertools.combinations(rights, l)
                 ):
-                    left_sets = [list(P) for _, P, _ in lchoice]
-                    right_sets = [list(Q) for _, Q, _ in rchoice]
+                    left_bits = [r for _, r, _ in lchoice]
+                    right_bits = [s for _, s, _ in rchoice]
                     indices = [i for _, _, i in lchoice + rchoice]
                     family = is_compatible_set(logic, indices)
-                    built = localized_family_partition(logic, a, left_sets, b, right_sets)
+                    built = _family_partition(logic, left, left_bits, right, right_bits)
                     ok = (
                         family is not None
                         and verify_generating_family(logic, indices, family)
                         and built is not None
                         and built[1]
                     )
-                    yield None if ok else {"a": a, "b": b, "left": left_sets, "right": right_sets}
+                    yield None if ok else {
+                        "a": a,
+                        "b": b,
+                        "left": list(map(_outcomes, left_bits)),
+                        "right": list(map(_outcomes, right_bits)),
+                    }
 
     def meet_join_table() -> Iterator[Optional[dict]]:
         # a wanted meet or join missing from the table fails the pair
-        for side, (a1, P, i1), (a2, Q, i2), where in same_side_pairs():
-            if a1 != a2:
-                want = (logic.index.get(0), logic.index.get(logic.full_mask))
-            else:
-                want = tuple(
-                    logic.index.get(make_localized(gamma, LocalizedSpec(side, a1, o)) if o else 0)
-                    for o in (set(P) & set(Q), set(P) | set(Q))
-                )
+        for side, first, second in same_side_pairs():
+            (a1, r1, i1), (a2, r2, i2) = first, second
+            table = tables[side][a1]
+            bits = (table[r1 & r2], table[r1 | r2]) if a1 == a2 else (0, logic.full_mask)
+            want = tuple(map(logic.index.get, bits))
             got = (logic.meet(i1, i2), logic.join(i1, i2))
-            yield None if None not in want and got == want else where
+            yield None if None not in want and got == want else where(side, first, second)
 
     same = _first_failure(same_side())  # fills in the certificate
     return LocalizedReport(

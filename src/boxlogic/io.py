@@ -7,20 +7,17 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import io as _stdio
 import json
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import BoxLogicError, ScenarioError, StateError
 from .logic import ConcreteLogic, Logic
 from .scenario import BoxWorldSpec
 
 if TYPE_CHECKING:  # annotations only: the two readers of tables import states themselves
-    from .compat import PastingReport
     from .polytope import HRep, VertexSet
     from .states import PRState
 
@@ -168,10 +165,12 @@ def logic_to_dot(logic: ConcreteLogic) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pasting_to_dot(report: PastingReport) -> str:
+def pasting_to_dot(outcome_counts: Sequence[int]) -> str:
+    """One box's logic as its Boolean blocks between bottom and top: an input
+    with n outcomes gives a block of 2**n elements."""
     lines = ["digraph pasting {", "  rankdir=BT;", '  bottom [label="0"];', '  top [label="1"];']
-    for a, size in enumerate(report.block_sizes):
-        lines.append(f'  block{a} [shape=box, label="input {a}: {size} elements"];')
+    for a, n in enumerate(outcome_counts):
+        lines.append(f'  block{a} [shape=box, label="input {a}: {1 << n} elements"];')
         lines.append(f"  bottom -> block{a};")
         lines.append(f"  block{a} -> top;")
     lines.append("}")
@@ -244,15 +243,14 @@ def hrep_to_dict(hrep: HRep) -> dict:
 
 
 def vertices_to_csv(vertex_set: VertexSet) -> str:
-    buffer = _stdio.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = ["class"] + [
-        f"p_{v.a}_{v.b}_{v.alpha}_{v.beta}" for v in vertex_set.hrep.variables
+    """One row per vertex: its class, then its entries as "p/q" strings.  No
+    field can hold a comma, quote or line break, so none is quoted."""
+    header = ["class"] + [f"p_{v.a}_{v.b}_{v.alpha}_{v.beta}" for v in vertex_set.hrep.variables]
+    rows = [
+        ",".join([cls, *map(format_fraction, vert)])
+        for cls, vert in zip(vertex_set.classes, vertex_set.vertices)
     ]
-    writer.writerow(header)
-    for cls, vert in zip(vertex_set.classes, vertex_set.vertices):
-        writer.writerow([cls] + [format_fraction(x) for x in vert])
-    return buffer.getvalue()
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def write_text(path: PathLike, content: str) -> None:

@@ -738,7 +738,12 @@ def is_lattice(logic: ConcreteLogic) -> Optional[bool]:
 
 def is_boolean(logic: ConcreteLogic) -> Optional[bool]:
     """Lattice plus distributivity over all triples; None when too large to scan."""
-    lat = is_lattice(logic)
+    return _boolean_given_lattice(logic, is_lattice(logic))
+
+
+def _boolean_given_lattice(logic: ConcreteLogic, lat: Optional[bool]) -> Optional[bool]:
+    """``is_boolean`` of a table whose ``is_lattice`` is ``lat``: a caller that
+    reports both runs the lattice scan once."""
     if lat is not True:
         return lat
     n = len(logic.elements)

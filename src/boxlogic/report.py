@@ -10,9 +10,9 @@ from .compat import _compatible_bits, single_box_logic, verify_localized_proposi
 from .errors import CapExceeded
 from .logic import (
     Logic,
+    _boolean_given_lattice,
     close_logic,
     disjoint_atom_union_report,
-    is_boolean,
     is_lattice,
     verify_atomic_coverage,
     verify_axioms,
@@ -46,6 +46,7 @@ def scenario_hash(spec: BoxWorldSpec) -> str:
 
 
 def _header(spec: BoxWorldSpec, caps: dict, seed: Optional[int], logic: Logic) -> dict:
+    lattice = is_lattice(logic)
     return {
         "tool": {"name": "boxlogic", "version": __version__},
         "scenario": {
@@ -59,8 +60,8 @@ def _header(spec: BoxWorldSpec, caps: dict, seed: Optional[int], logic: Logic) -
             "element_count": len(logic.elements),
             "atom_count": len(logic.atom_indices),
             "sample_points": logic.ground_size,
-            "is_lattice": is_lattice(logic),
-            "is_boolean": is_boolean(logic),
+            "is_lattice": lattice,
+            "is_boolean": _boolean_given_lattice(logic, lattice),
         },
     }
 

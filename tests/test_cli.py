@@ -13,7 +13,7 @@ import boxlogic as bl
 from boxlogic.cli import main
 from boxlogic.io import save_pr_state, save_scenario
 
-from conftest import CHSH, THREE_INPUT
+from conftest import CHSH, SINGLE_PAIR, THREE_INPUT
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -244,6 +244,29 @@ def test_fixtures_even_set_flags_small(capsys):
     assert code == 0
     result = json.loads(out)
     assert result["is_lattice"] is True and result["is_boolean"] is False
+
+
+@pytest.mark.parametrize(
+    "command, element_count",
+    [
+        (lambda: bl.build_summary(SINGLE_PAIR), 16),
+        (lambda: main(["fixtures", "even-set", "--k", "2"]), 8),
+    ],
+    ids=["build-summary", "fixtures-even-set"],
+)
+def test_lattice_flags_scan_the_lattice_once(monkeypatch, capsys, command, element_count):
+    # both tables are lattices, so a second is_lattice call would repeat the full pair scan
+    scans = []
+    scan = bl.logic.is_lattice
+
+    def counted(logic):
+        scans.append(len(logic.elements))
+        return scan(logic)
+
+    for module in ("logic", "report", "cli"):
+        monkeypatch.setattr(importlib.import_module(f"boxlogic.{module}"), "is_lattice", counted)
+    command()
+    assert scans == [element_count]
 
 
 def test_missing_file(capsys):

@@ -134,8 +134,9 @@ def test_incompatible_family_detected(chsh_logic):
 
 
 def test_compatible_set_bound(chsh_logic):
-    with pytest.raises(bl.CapExceeded):
-        bl.is_compatible_set(chsh_logic, list(range(1, 15)), bound=12)
+    # fourteen nonempty elements, above the bound of 12
+    with pytest.raises(bl.CapExceeded, match="14 elements, above the bound of 12"):
+        bl.is_compatible_set(chsh_logic, list(range(1, 15)))
 
 
 def test_theorem_partition_for_localized_family(chsh_logic):
@@ -149,6 +150,27 @@ def test_theorem_partition_for_localized_family(chsh_logic):
         loc_index(chsh_logic, Side.RIGHT, 0, (0,)),
     ]
     assert bl.verify_generating_family(chsh_logic, members, family)
+
+
+def test_partition_leaves_out_the_rectangle_outside_every_subset(chsh_logic):
+    # {x0=0} and {y0=0}: the three rectangles they touch are atoms, and
+    # {x0=1, y0=1} lies outside both
+    family, ok = bl.localized_family_partition(chsh_logic, 0, [[0]], 0, [[0]])
+    atoms = [AtomId(0, 0, 0, 0), AtomId(0, 0, 0, 1), AtomId(0, 1, 0, 0)]
+    assert ok and family == tuple(sorted(chsh_logic.atom_element(aid) for aid in atoms))
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [([], "non-empty"), ([0, 0], "duplicates"), ([2], "out of range")],
+    ids=["empty", "repeated", "out-of-range"],
+)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_family_partition_refuses_bad_outcome_subsets(chsh_logic, side, subset, message):
+    subsets = {"left": [[0]], "right": [[1]]}
+    subsets[side].append(subset)
+    with pytest.raises(bl.ScenarioError, match=message):
+        bl.localized_family_partition(chsh_logic, 0, subsets["left"], 1, subsets["right"])
 
 
 # -- Boolean sublogics -----------------------------------------------------------

@@ -211,7 +211,10 @@ def test_hrep_export_round_trip(chsh_polytope):
 
 
 def test_vertex_csv_stable(chsh_polytope):
-    from boxlogic.io import vertices_to_csv
+    import csv
+    import io
+
+    from boxlogic.io import format_fraction, vertices_to_csv
 
     _, vertex_set = chsh_polytope
     text = vertices_to_csv(vertex_set)
@@ -219,6 +222,13 @@ def test_vertex_csv_stable(chsh_polytope):
     assert len(lines) == 25
     assert lines[0].startswith("class,p_0_0_0_0")
     assert text == vertices_to_csv(vertex_set)
+    # the rows are joined by hand: the stdlib's writer gives the same bytes
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["class"] + [f"p_{v.a}_{v.b}_{v.alpha}_{v.beta}" for v in vertex_set.hrep.variables])
+    for cls, vert in zip(vertex_set.classes, vertex_set.vertices):
+        writer.writerow([cls, *map(format_fraction, vert)])
+    assert text == buffer.getvalue()
 
 
 # Hand-built systems whose sweep passes the int64 bound.  "crossing" has

@@ -120,10 +120,17 @@ TABLE_CASES = {
     "empty_table": lambda: bl.ConcreteLogic(2, []),
 }
 
+# scenario logics whose inputs on one side have different outcome counts:
+# the one-box checks run on them
+MIXED_CASES = {
+    "three_two_by_two": lambda: bl.close_logic(bl.BoxWorldSpec.from_sizes([3, 2], [2])),
+    "two_by_two_three": lambda: bl.close_logic(bl.BoxWorldSpec.from_sizes([2], [2, 3])),
+}
+
 
 @functools.cache
 def _table(name):
-    return {**LOGIC_CASES, **TABLE_CASES}[name]()
+    return {**LOGIC_CASES, **TABLE_CASES, **MIXED_CASES}[name]()
 
 
 def _entry(result):
@@ -160,7 +167,7 @@ def test_order_classification_matches_plain_loops(name):
     assert (_entry(result), counts) == oracles.naive_order_classification(logic)
 
 
-@pytest.mark.parametrize("name", LOGIC_CASES)
+@pytest.mark.parametrize("name", [*LOGIC_CASES, *MIXED_CASES])
 def test_localized_checks_match_plain_loops(name):
     logic = _table(name)
     report = bl.verify_localized_propositions(logic)
