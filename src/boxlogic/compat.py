@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, TheoremViolation
 from .logic import CheckResult, ConcreteLogic, Logic, _first_failure, is_lattice, verify_axioms
@@ -296,20 +296,18 @@ def single_box_logic(
 
 
 def enumerate_localized(logic: Logic, side: Side) -> list[tuple[int, tuple[int, ...], int]]:
-    """(input, outcome subset, element index) for the proper one-box propositions."""
+    """(input, outcome subset, element index) for the proper one-box propositions;
+    one missing from the table raises ForeignElementError."""
     return [
         (a, tuple(_outcomes(r)), i)
-        for a, r, i in _proper_propositions(logic, _one_box_tables(logic.gamma, side))
+        for a, r, i in _proper_propositions(_one_box_tables(logic.gamma, side), logic.index_of)
     ]
 
 
-def _proper_propositions(logic: Logic, tables: list[list[int]]) -> list[tuple[int, int, int]]:
-    """(input, outcome-subset bits, element index) for all table entries but the first and last."""
-    return [
-        (a, r, logic.index_of(table[r]))
-        for a, table in enumerate(tables)
-        for r in range(1, len(table) - 1)
-    ]
+def _proper_propositions(tables: list[list[int]], lookup: Callable) -> list[tuple]:
+    """(input, outcome-subset bits, lookup(proposition bits)) for all table
+    entries but the first and last."""
+    return [(a, r, lookup(t[r])) for a, t in enumerate(tables) for r in range(1, len(t) - 1)]
 
 
 def localized_family_partition(
@@ -325,7 +323,8 @@ def localized_family_partition(
     subsets, the outcomes in none of them forming one more group; the
     family consists of the rectangles (left group) x (right group), all
     but the one of the two outside groups.  Returns the family and whether
-    it verifies.  An empty, repeated or out-of-range outcome subset raises
+    it verifies, which it does not when a chosen proposition is missing
+    from the table.  An empty, repeated or out-of-range outcome subset raises
     ScenarioError.
     """
     gamma = logic.gamma
@@ -365,10 +364,10 @@ def _family_partition(
                 if idx is None:
                     return None
                 family.append(idx)
-    inputs = [logic.index_of(left[r]) for r in left_bits] + [
-        logic.index_of(right[s]) for s in right_bits
-    ]
-    return tuple(sorted(family)), verify_generating_family(logic, inputs, family)
+    inputs = [logic.index.get(left[r]) for r in left_bits]
+    inputs += [logic.index.get(right[s]) for s in right_bits]
+    ok = None not in inputs and verify_generating_family(logic, inputs, family)
+    return tuple(sorted(family)), ok
 
 
 @dataclass
@@ -400,15 +399,20 @@ def verify_localized_propositions(logic: Logic) -> LocalizedReport:
     the input; pairwise-compatible one-box families must admit the
     constructive generating family.  Each check stops at its first
     counterexample.  The distributivity certificate comes from the first
-    incompatible same-side pair the scan passes that yields one.
+    incompatible same-side pair the scan passes that yields one.  A one-box
+    proposition missing from the table is compatible with nothing and fails
+    every check that takes it.
     """
     tables = {side: _one_box_tables(logic.gamma, side) for side in Side}
-    props = {side: _proper_propositions(logic, tables[side]) for side in Side}
+    props = {side: _proper_propositions(tables[side], logic.index.get) for side in Side}
+
+    def compatible_pair(i: Optional[int], j: Optional[int]) -> bool:
+        return None not in (i, j) and are_compatible(logic, i, j) is not None
 
     def cross_side() -> Iterator[Optional[dict]]:
         # a witness is the rectangle split (p & q, p - q, q - p) by construction
         for (a, r, ip), (b, s, iq) in itertools.product(props[Side.LEFT], props[Side.RIGHT]):
-            compatible = are_compatible(logic, ip, iq) is not None
+            compatible = compatible_pair(ip, iq)
             yield None if compatible else {"left": [a, _outcomes(r)], "right": [b, _outcomes(s)]}
 
     def same_side_pairs():
@@ -426,11 +430,11 @@ def verify_localized_propositions(logic: Logic) -> LocalizedReport:
         nonlocal certificate
         for side, first, second in same_side_pairs():
             (a1, _, i1), (a2, _, i2) = first, second
-            compatible = are_compatible(logic, i1, i2) is not None
+            compatible = compatible_pair(i1, i2)
             if compatible != (a1 == a2):
                 yield {**where(side, first, second), "compatible": compatible}
                 return
-            if not compatible and certificate is None:
+            if not compatible and certificate is None and None not in (i1, i2):
                 certificate = _distributivity_certificate(logic, i1, i2)
             yield None
 
@@ -450,13 +454,12 @@ def verify_localized_propositions(logic: Logic) -> LocalizedReport:
                     left_bits = [r for _, r, _ in lchoice]
                     right_bits = [s for _, s, _ in rchoice]
                     indices = [i for _, _, i in lchoice + rchoice]
-                    family = is_compatible_set(logic, indices)
                     built = _family_partition(logic, left, left_bits, right, right_bits)
                     ok = (
-                        family is not None
-                        and verify_generating_family(logic, indices, family)
-                        and built is not None
+                        built is not None
                         and built[1]
+                        and (family := is_compatible_set(logic, indices)) is not None
+                        and verify_generating_family(logic, indices, family)
                     )
                     yield None if ok else {
                         "a": a,
@@ -472,8 +475,8 @@ def verify_localized_propositions(logic: Logic) -> LocalizedReport:
             table = tables[side][a1]
             bits = (table[r1 & r2], table[r1 | r2]) if a1 == a2 else (0, logic.full_mask)
             want = tuple(map(logic.index.get, bits))
-            got = (logic.meet(i1, i2), logic.join(i1, i2))
-            yield None if None not in want and got == want else where(side, first, second)
+            ok = None not in (i1, i2, *want) and (logic.meet(i1, i2), logic.join(i1, i2)) == want
+            yield None if ok else where(side, first, second)
 
     same = _first_failure(same_side())  # fills in the certificate
     return LocalizedReport(

@@ -212,6 +212,39 @@ def relabelled_pr_box_tables(spec) -> list:
     ]
 
 
+# -- nonlocal vertex counts in closed form ---------------------------------------
+# Plain arithmetic from the literature, with no table built and nothing taken
+# from boxlogic.
+
+
+def two_input_nonlocal_count(outcome_counts) -> int:
+    """Nonlocal vertices with two inputs per side, whose four inputs have the
+    given outcome counts d_i (Barrett et al., PRA 71, 022101, 2005):
+    sum over k >= 2 of prod_i C(d_i, k) * (k!)**3 * (k - 1)!.
+    """
+    return sum(
+        math.prod(math.comb(d, k) for d in outcome_counts)
+        * math.factorial(k) ** 3
+        * math.factorial(k - 1)
+        for k in range(2, min(outcome_counts) + 1)
+    )
+
+
+def binary_nonlocal_count(m_a: int, m_b: int) -> int:
+    """Nonlocal vertices with two outcomes on every input and m_a, m_b inputs
+    (Barrett & Pironio, PRL 95, 140401, 2005): sum over s, t >= 2 of
+    C(m_a, s) C(m_b, t) 2**((m_a - s) + (m_b - t)) (2**(s t) - 2**(s + t - 1)).
+    """
+    return sum(
+        math.comb(m_a, s)
+        * math.comb(m_b, t)
+        * 2 ** ((m_a - s) + (m_b - t))
+        * (2 ** (s * t) - 2 ** (s + t - 1))
+        for s in range(2, m_a + 1)
+        for t in range(2, m_b + 1)
+    )
+
+
 # -- polytope points by plain Gaussian elimination ------------------------------
 # Exact Fraction elimination written out here, so that neither the
 # double-description sweep nor the library's row reduction is on the path.
@@ -725,8 +758,9 @@ def naive_localized_entries(logic, family_bound: int = 2) -> dict:
     scan passes before its first failure, in scan order.
 
     A family of one-box propositions on left input a and right input b passes
-    when every nonempty overlap region is in the table: group the outcome
-    pairs (alpha, beta) by which chosen propositions contain them.
+    when the propositions and every nonempty overlap region are in the table:
+    group the outcome pairs (alpha, beta) by which chosen propositions contain
+    them.  A proposition missing from the table is compatible with nothing.
     """
     gamma, spec = logic.gamma, logic.spec
     elements = logic.elements
@@ -745,9 +779,11 @@ def naive_localized_entries(logic, family_bound: int = 2) -> dict:
         for a, size in enumerate(spec.sizes(side)):
             for r in range(1, (1 << size) - 1):
                 outcomes = [o for o in range(size) if r >> o & 1]
-                props[side].append((a, outcomes, index[one_box_bits(side, a, outcomes)]))
+                props[side].append((a, outcomes, index.get(one_box_bits(side, a, outcomes))))
 
     def compatible(i, j):
+        if i is None or j is None:
+            return False
         p, q = elements[i], elements[j]
         return all(bits in index for bits in (p & q, p & ~q, q & ~p))
 
@@ -764,7 +800,7 @@ def naive_localized_entries(logic, family_bound: int = 2) -> dict:
                 where = {"side": side.value, "first": [a1, P], "second": [a2, Q]}
                 c = compatible(i1, i2)
                 same.append(None if c == (a1 == a2) else {**where, "compatible": c})
-                incompatible.append(None if c else (i1, i2))
+                incompatible.append(None if c or None in (i1, i2) else (i1, i2))
                 # the meet and join wanted here have to be in the table
                 if a1 != a2:
                     want = (index.get(0), index.get(full))
@@ -773,8 +809,11 @@ def naive_localized_entries(logic, family_bound: int = 2) -> dict:
                         index.get(one_box_bits(side, a1, set(P) & set(Q))),
                         index.get(one_box_bits(side, a1, set(P) | set(Q))),
                     )
-                got = (brute_meet(logic, i1, i2), brute_join(logic, i1, i2))
-                meet_join.append(None if None not in want and got == want else where)
+                ok = None not in (i1, i2, *want) and want == (
+                    brute_meet(logic, i1, i2),
+                    brute_join(logic, i1, i2),
+                )
+                meet_join.append(None if ok else where)
     same_entry = first_counterexample(same)
     passed_cases = same_entry[1] - (0 if same_entry[0] else 1)
 
@@ -803,7 +842,9 @@ def naive_localized_entries(logic, family_bound: int = 2) -> dict:
                                             bl.Side.LEFT, a, alpha
                                         ) & gamma.outcome_mask(bl.Side.RIGHT, b, beta)
                                         regions[sig] = regions.get(sig, 0) | cell
-                            ok = all(bits in index for bits in regions.values())
+                            present = [one_box_bits(bl.Side.LEFT, a, P) for P in lchoice]
+                            present += [one_box_bits(bl.Side.RIGHT, b, Q) for Q in rchoice]
+                            ok = all(bits in index for bits in [*present, *regions.values()])
                             families.append(
                                 None
                                 if ok

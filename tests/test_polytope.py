@@ -161,6 +161,38 @@ def test_two_by_three_polytope_shape(two_by_three_polytope):
     assert_vertices_match_oracles(hrep, vertex_set, 81, nonlocal_tables, 1080)
 
 
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        ([2, 2], [2, 2], 8),
+        ([2, 2], [3, 3], 72),
+        ([2, 3], [2, 3], 72),
+        ([3, 2], [2, 3], 72),
+        ([2, 3], [4, 2], 144),
+        ([4, 3], [2, 2], 144),
+        ([2, 3], [3, 3], 216),
+        ([2, 4], [2, 4], 288),
+        ([3, 3], [3, 3], 1080),
+    ],
+    ids=str,
+)
+def test_nonlocal_vertex_count_with_two_inputs_per_side(left, right, expected):
+    assert oracles.two_input_nonlocal_count([*left, *right]) == expected
+    hrep = bl.ns_polytope(BoxWorldSpec.from_sizes(left, right))
+    assert bl.enumerate_vertices(hrep).count("nondeterministic") == expected
+
+
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [([2, 2], [2, 2, 2], 96), ([2, 2, 2, 2], [2, 2], 800), ([2, 2, 2], [2, 2, 2], 1344)],
+    ids=str,
+)
+def test_nonlocal_vertex_count_with_binary_outcomes(left, right, expected):
+    assert oracles.binary_nonlocal_count(len(left), len(right)) == expected
+    hrep = bl.ns_polytope(BoxWorldSpec.from_sizes(left, right))
+    assert bl.enumerate_vertices(hrep).count("nondeterministic") == expected
+
+
 def test_unbounded_system_rejected():
     # x0 = x1 >= 0 has the recession direction (1, 1)
     variables = bl.all_atom_ids(SINGLE_PAIR)[:2]

@@ -477,6 +477,17 @@ def test_first_well_definedness_failure_matches_oracle(chsh_logic, chsh_vertex_s
         tables.extend(x, den)
 
 
+def test_batch_dtype_reads_a_large_negative_entry(chsh_logic):
+    tables = bl.states._state_tables(chsh_logic)
+    small = [1] * tables.natoms
+    assert tables.batch([small], [1])[0].dtype == np.int64
+    # the only entry past the int64 rule is negative
+    big = [-(2**62) - 1, *small[1:]]
+    x, den = tables.batch([small, big], [1, 1])
+    assert x.dtype == object
+    assert x[1].tolist() == big and den.tolist() == [1, 1]
+
+
 # -- the chunk walk: one row per chunk changes nothing ---------------------------------
 
 
@@ -532,31 +543,32 @@ def test_an_invalid_mixture_fails_the_section(chsh_logic, monkeypatch):
     assert report["all_passed"] is False
 
 
-def test_a_monotonicity_break_keeps_its_index_past_the_first_chunk(
-    chsh_logic, chsh_polytope, monkeypatch
-):
-    # the kernel gives vertex 5 the value 0 on every element but the atoms, the empty
-    # set and the full set: its table still reads back, but a step above a positive
-    # atom falls
+@pytest.mark.parametrize("scenario", ["chsh", "three_input"])
+def test_monotonicity_count_equals_the_scan_of_the_vertex_states(request, scenario):
+    # the state section counts the valid vertex rows; the scan compares every step
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    hrep, vertex_set = request.getfixturevalue(f"{scenario}_polytope")
+    section = bl.states.check_table_rows(logic, vertex_set.scaled, vertex_set.scale, 0, 0)
+    states = [bl.state_from_pr(logic, pr) for pr in bl.vertex_pr_states(hrep, vertex_set)]
+    ok, checked = bl.verify_state_monotonicity(logic, states)
+    assert section["monotonicity"] == {"ok": ok, "checked": checked}
+    assert checked == len(vertex_set) * logic.comparable_count()
+
+
+def test_a_negative_row_never_reaches_the_monotonicity_count(chsh_logic, chsh_polytope):
+    # 2 * uniform - deterministic is normalized and non-signalling, and its values
+    # fall along the steps of its negative atoms: validation leaves it out
     logic, (_, vertex_set) = chsh_logic, chsh_polytope
-    target, _ = bl.states._state_tables(logic).batch([vertex_set.scaled[5]], [vertex_set.scale])
-    keep = np.zeros(len(logic.elements), dtype=bool)
-    keep[[*logic.atom_indices, logic.index_of(0), logic.index_of(logic.full_mask)]] = True
-    values = bl.states._StateTables.values
-
-    def broken(self, x):
-        out = values(self, x)
-        out[np.ix_((x == target).all(axis=1), ~keep)] = 0
-        return out
-
-    monkeypatch.setattr(bl.states._StateTables, "values", broken)
-    default = bl.verify_scenario(CHSH, sample_count=10, logic=logic)
-    one_row_chunks(monkeypatch)
-    assert bl.verify_scenario(CHSH, sample_count=10, logic=logic) == default
-    section = default["state_correspondence"]
-    assert (section["all_tables_valid"], section["round_trip_failures"]) == (True, 0)
-    assert section["monotonicity"] == {"ok": False, "checked": 5 * logic.comparable_count()}
-    assert default["all_passed"] is False
+    scale = vertex_set.scale
+    det = vertex_set.scaled[vertex_set.classes.index("deterministic")]
+    negative = [scale - 2 * v for v in det]
+    rows = [[2 * v for v in row] for row in vertex_set.scaled]
+    section = bl.states.check_table_rows(logic, [*rows, negative], 2 * scale, 0, 0)
+    assert section["all_tables_valid"] is False
+    assert section["monotonicity"] == {"ok": True, "checked": 24 * logic.comparable_count()}
+    table = bl.states._state_tables(logic).table(np.array(negative), 2 * scale)
+    rho = bl.state_from_pr(logic, table, validate=False)
+    assert bl.verify_state_monotonicity(logic, [rho]) == (False, 0)
 
 
 def test_a_well_definedness_break_keeps_its_message_past_the_first_chunk(

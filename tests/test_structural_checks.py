@@ -82,6 +82,10 @@ def _mixed_input_partition():
     return bl.Logic(gamma, ids, oracles.naive_closure(gamma.gamma_size, atoms))
 
 
+def _proposition_removed(a):
+    return _removed(CHSH, {_one_box(CHSH, Side.LEFT, a, [0])})
+
+
 def _single_box(side):
     return bl.single_box_logic(bl.build_gamma(CHSH), side)[0]
 
@@ -100,6 +104,11 @@ LOGIC_CASES = {
     "chsh_without_empty_set": lambda: _removed(CHSH, {0}),
     "chsh_without_full_set": lambda: _removed(CHSH, {bl.build_gamma(CHSH).full_mask}),
     "chsh_point_added": _point_added,
+    # "left input a shows outcome 0" missing: it is compatible with nothing
+    **{
+        f"chsh_without_left_proposition_{a}": functools.partial(_proposition_removed, a)
+        for a in range(2)
+    },
     "chsh_left_inputs_made_compatible": functools.partial(_inputs_made_compatible, Side.LEFT),
     "chsh_right_inputs_made_compatible": functools.partial(_inputs_made_compatible, Side.RIGHT),
 }
@@ -180,6 +189,35 @@ def test_localized_checks_match_plain_loops(name):
     assert report.distributivity_certificate == next(
         (c for c in certificates if c is not None), None
     )
+
+
+def test_a_missing_one_box_proposition_is_a_failed_check():
+    logic = _table("chsh_without_left_proposition_0")
+    report = bl.verify_localized_propositions(logic)
+    # the first same-side pair is the missing proposition with itself
+    assert report.same_side.counterexample == {
+        "side": "left", "first": [0, [0]], "second": [0, [0]], "compatible": False,
+    }
+    assert not report.all_passed
+    # the plain enumeration of the propositions still refuses the table
+    with pytest.raises(bl.ForeignElementError):
+        bl.enumerate_localized(logic, Side.LEFT)
+
+
+@pytest.mark.parametrize("name", LOGIC_CASES)
+def test_verify_scenario_reports_on_every_table(name):
+    # a refuted claim lands in the report; the state kernel takes only a table its
+    # atom steps certify, and the state section otherwise gives the refusal as reason
+    logic = _table(name)
+    report = bl.verify_scenario(logic.spec, sample_count=5, logic=logic)
+    assert report["localized_propositions"] == bl.verify_localized_propositions(logic).to_dict()
+    if logic._certified():
+        assert report["state_correspondence"]["skipped"] is False
+    else:
+        with pytest.raises(bl.TheoremViolation) as refusal:
+            logic._step_table()
+        assert report["state_correspondence"] == {"skipped": True, "reason": str(refusal.value)}
+        assert report["all_passed"] is False
 
 
 def test_every_check_fails_on_some_table():
