@@ -7,20 +7,22 @@ set first, the full set second, everything else sorted by (popcount,
 numeric value).  Absent meets and joins are values (``None``), not
 errors.
 
-Relations between elements come from two mechanisms.  All-pairs scans
-use the vertical tid-list bitmaps of Zaki (IEEE TKDE 2000): for each
-sample point x the table keeps a Python int whose bit i is set when
-element i contains x, and set bits are walked exactly with ``m & -m``
-and ``bit_length``; the pair generators and counts use them.  The other
-walks the atom steps p -> p | a, one per atom a disjoint from p: the
-closure grows the family along them, and each logic walks its table's
-steps once, into one step table that the certificate of the structural
-checks, the Hasse covers and the state kernel all read.
+Relations between elements come from one step table: each logic walks
+the atom steps p -> p | a of its table, one per atom a disjoint from p,
+once.  The closure grows the family along the same steps.  The
+certificate of the structural checks, the Hasse covers, the state
+kernel, the comparable-pair count and the point columns all read the
+table; the columns are Python ints whose bit i is set when element i
+holds the point (the vertical tid-lists of Zaki, IEEE TKDE 2000), walked
+exactly with ``m & -m`` and ``bit_length``.  Tables the step walk
+refuses, which only library callers and damaged test tables build, are
+answered by plain scans.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
@@ -227,20 +229,52 @@ class ConcreteLogic:
     def _downset_union(self, s: int) -> int:
         return _union_below(self.atom_bits if self.atomistic() else self.elements, s)
 
-    # -- column kernel and pair enumeration ---------------------------------
+    # -- order queries and pair enumeration -----------------------------------
 
-    def _column_masks(self) -> list[int]:
-        if self._columns is None:
-            cols = [0] * self.ground_size
-            for i, e in enumerate(self.elements):
-                for x in _bit_indices(e):
-                    cols[x] |= 1 << i
-            self._columns = cols
+    def _up_walk(self) -> tuple[list[int], int]:
+        """(point columns, comparable pairs) of a table that ``_certified``
+        accepts, from one walk down its step table.
+
+        The up-set of p, the mask of the elements containing it, is p plus the
+        up-sets of its step uppers: for q strictly above p, q - p = (p | q')'
+        is a nonzero element, so it holds an atom a disjoint from p, and q is
+        in the up-set of the step p -> p | a.  Uppers come first: the full
+        set, then the rest by falling index, the empty set last; each up-set
+        is dropped after its last reader.  Every element is a disjoint union
+        of atoms, so an element holding a point holds an atom that holds it:
+        the point's column is the union of those atoms' up-sets.
+        """
+        offsets, uppers = self._step_table()
+        n, readers = len(self.elements), Counter(uppers)
+        atoms = dict(zip(self.atom_indices, self.atom_bits))
+        up: list[Optional[int]] = [None] * n
+        cols, total = [0] * self.ground_size, 0
+        for i in (1, *range(n - 1, 1, -1), 0) if n > 1 else (0,):
+            mask = 1 << i
+            for u in uppers[offsets[i] : offsets[i + 1]]:
+                mask |= up[u]
+                readers[u] -= 1
+                if not readers[u]:
+                    up[u] = None
+            total += mask.bit_count()
+            for x in _bit_indices(atoms.get(i, 0)):
+                cols[x] |= mask
+            if readers[i]:
+                up[i] = mask
+        return cols, total
+
+    def _point_columns(self) -> Optional[list[int]]:
+        """The columns of ``_up_walk``, walked once; None on a table the step
+        walk refuses."""
+        if self._columns is None and self._certified():
+            self._columns, self._comparable_total = self._up_walk()
         return self._columns
 
     def containing(self, bits: int) -> int:
         """Mask of the element indices whose elements contain ``bits``."""
-        cols = self._column_masks()
+        cols = self._point_columns()
+        if cols is None:
+            return sum(1 << i for i, e in enumerate(self.elements) if e & bits == bits)
         mask = (1 << len(self.elements)) - 1
         for x in _bit_indices(bits):
             mask &= cols[x]
@@ -254,19 +288,17 @@ class ConcreteLogic:
 
     def comparable_count(self) -> int:
         """Number of pairs in ``comparable_pairs()``, without walking them."""
-        if self._comparable_total is None:
+        if self._comparable_total is None and self._point_columns() is None:
             self._comparable_total = sum(self.containing(e).bit_count() for e in self.elements)
         return self._comparable_total
 
     def disjoint_pairs(self) -> Iterator[tuple[int, int]]:
         """All unordered pairs (i, j), i < j, of disjoint elements, in order."""
-        cols, everything = self._column_masks(), (1 << len(self.elements)) - 1
-        for i, e in enumerate(self.elements):
-            hit = (1 << (i + 1)) - 1  # the elements up to i, then those meeting e
-            for x in _bit_indices(e):
-                hit |= cols[x]
-            for j in _bit_indices(everything & ~hit):
-                yield i, j
+        elements = self.elements
+        for i, e in enumerate(elements):
+            for j in range(i + 1, len(elements)):
+                if not e & elements[j]:
+                    yield i, j
 
     # -- atom steps and exports ---------------------------------------------
 

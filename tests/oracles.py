@@ -315,7 +315,7 @@ def basic_solution_vertices(hrep) -> set:
     return found
 
 
-# -- naive relation scans, checked against the column kernel -------------------
+# -- naive relation scans, checked against the step-table kernel ---------------
 # These take plain element lists and never call ConcreteLogic's relation
 # methods or the closure under test.
 

@@ -476,7 +476,7 @@ def test_dot_export_mentions_every_element(chsh_logic):
     assert f"n{len(chsh_logic.elements) - 1}" in dot
 
 
-# -- column kernel against naive scans ---------------------------------------------
+# -- order kernel against naive scans ----------------------------------------------
 
 
 def test_closure_cap_boundary():
@@ -490,24 +490,59 @@ def test_closure_cap_boundary():
 
 
 def _kernel_case(name):
+    """(ground size, closure seeds, table); the seeds are None for a table the
+    step walk refuses."""
     if name == "even_set_3":
         pairs = [(1 << i) | (1 << j) for i in range(6) for j in range(i + 1, 6)]
         return 6, pairs, bl.even_set_logic(3)
-    spec = {"single_pair": SINGLE_PAIR, "chsh": CHSH, "three_input": THREE_INPUT}[name]
+    if name == "power_set_4":
+        return 4, [1, 2, 4, 8], bl.ConcreteLogic(4, range(16))
+    if name == "empty_ground":  # one element, both the empty and the full set
+        return 0, [], bl.ConcreteLogic(0, [0])
+    if name == "chsh_one_removed":
+        # the complement of the dropped element has none
+        logic = bl.close_logic(CHSH)
+        kept = [e for e in logic.elements if e != logic.elements[-1]]
+        return logic.ground_size, None, bl.Logic(logic.gamma, logic.atom_ids, kept)
+    spec = {
+        "single_pair": SINGLE_PAIR,
+        "chsh": CHSH,
+        "three_input": THREE_INPUT,
+        # atoms of two sizes: one element's step uppers sit in different popcount layers
+        "two_three_by_three": bl.BoxWorldSpec.from_sizes([2, 3], [3]),
+        "three_two_by_two_two": bl.BoxWorldSpec.from_sizes([3, 2], [2, 2]),
+    }[name]
     g = bl.build_gamma(spec)
     atoms = [bl.make_atom(g, aid) for aid in bl.all_atom_ids(spec)]
     return g.gamma_size, atoms, bl.close_logic(spec)
 
 
-@pytest.mark.parametrize("name", ["single_pair", "chsh", "three_input", "even_set_3"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "single_pair", "chsh", "three_input", "even_set_3", "two_three_by_three",
+        "three_two_by_two_two", "power_set_4", "empty_ground", "chsh_one_removed",
+    ],
+)
 def test_kernel_matches_naive_scans(name):
     ground, seeds, logic = _kernel_case(name)
     elements = list(logic.elements)
-    closure = oracles.naive_closure(ground, seeds)
-    assert _close_family(ground, seeds, cap=10**6) == closure == set(elements)
-    assert list(logic.comparable_pairs()) == oracles.naive_comparable_pairs(elements)
+    if seeds is None:
+        assert not logic._certified()
+    else:
+        closure = oracles.naive_closure(ground, seeds)
+        assert _close_family(ground, seeds, cap=10**6) == closure == set(elements)
+        assert logic.covers() == oracles.naive_covers(elements)
+    comparable = oracles.naive_comparable_pairs(elements)
+    assert logic.comparable_count() == len(comparable)
+    assert list(logic.comparable_pairs()) == comparable
+    above = [0] * len(elements)
+    for i, j in comparable:
+        above[i] |= 1 << j
+    assert [logic.containing(e) for e in elements] == above
+    holding = [sum(1 << i for i, e in enumerate(elements) if e >> x & 1) for x in range(ground)]
+    assert [logic.containing(1 << x) for x in range(ground)] == holding
     assert list(logic.disjoint_pairs()) == oracles.naive_disjoint_pairs(elements)
-    assert logic.covers() == oracles.naive_covers(elements)
 
 
 # -- atoms and atom steps ---------------------------------------------------------

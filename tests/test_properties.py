@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import boxlogic as bl
@@ -212,3 +213,33 @@ def test_deterministic_vertices_are_the_outcome_assignments(shape):
     # one deterministic vertex per choice of an outcome for every input of both boxes
     left, right = shape
     assert cached_vertices(left, right).count("deterministic") == _points(left) * _points(right)
+
+
+def _mirror_invariants(report):
+    """What swapping the boxes and reversing each box's inputs must keep.
+
+    Order classification is not mirrored case by case: an element holding
+    both one-box pieces of its atom counts as left-localized, so only
+    ``top``, ``atom_plus_rest`` and the left + right sum stay fixed.
+    """
+    cases = report["order_classification"]["case_counts"]
+    return (
+        report["logic"]["element_count"],
+        report["logic"]["atom_count"],
+        {name: entry["checked"] for name, entry in report["axioms"].items()},
+        (report["atomic_coverage"]["passed"], report["atomic_coverage"]["checked"]),
+        (cases["top"], cases["atom_plus_rest"], cases["left_localized"] + cases["right_localized"]),
+        report["polytope"],
+        report["all_passed"],
+    )
+
+
+# local relabellings of inputs and the swap of the boxes are symmetries of the
+# non-signalling polytope and of the logic (Barrett et al., PRA 71, 022101, 2005);
+# atoms of two or three sizes, so the popcount layers of the steps interleave
+@pytest.mark.parametrize("left, right", [([2, 3], [3]), ([2, 2, 3], [2, 3]), ([3, 2], [2, 2])])
+def test_swapping_the_boxes_and_reversing_their_inputs_keeps_the_report_invariants(left, right):
+    report = bl.verify_scenario(BoxWorldSpec.from_sizes(left, right))
+    mirrored = bl.verify_scenario(BoxWorldSpec.from_sizes(right[::-1], left[::-1]))
+    assert report["all_passed"]
+    assert _mirror_invariants(mirrored) == _mirror_invariants(report)

@@ -1047,6 +1047,10 @@ def test_verify_counts_comparable_pairs_once():
     logic = bl.close_logic(CHSH)
     containing, masks = logic.containing, []
     logic.containing = lambda bits: masks.append(bits) or containing(bits)
+    walks = []
+    for name in ("_atom_steps", "_up_walk"):
+        walk = getattr(logic, name)
+        setattr(logic, name, lambda walk=walk, name=name: walks.append(name) or walk())
     count, masks_per_call = logic.comparable_count, []
 
     def counted():
@@ -1057,7 +1061,8 @@ def test_verify_counts_comparable_pairs_once():
 
     logic.comparable_count = counted
     assert bl.verify_scenario(CHSH, logic=logic)["all_passed"]
-    # asked by the axioms, by monotonicity and by order determination,
-    # summed over the elements once
-    assert masks_per_call == [len(logic.elements), 0, 0]
+    # asked by the axioms, by monotonicity and by order determination, and
+    # computed once, by the walk down the step table that builds the columns
+    assert masks_per_call == [0, 0, 0]
+    assert walks == ["_atom_steps", "_up_walk"]
     assert count() == len(list(logic.comparable_pairs()))
