@@ -1,25 +1,13 @@
-"""Exact linear algebra over Python ints: one fraction-free elimination, the
-affine solve built on it, and the dtype rule of the integer numpy kernels."""
+"""Exact linear algebra over Python ints: one fraction-free elimination and
+the affine solve built on it.  Ints never overflow, so the polytope and
+state kernels that build on these need no overflow rule either."""
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from math import gcd
 from typing import Sequence
 
 from .errors import BoxLogicError
-
-# Importing numpy is the largest fixed cost of a command, and only the polytope
-# and state kernels compute with it: the package binds a lazy module, which
-# executes numpy on first attribute access, so `build` and `export json|dot` never do.
-if "numpy" in sys.modules:
-    np = sys.modules["numpy"]
-else:
-    _spec = importlib.util.find_spec("numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(np)
 
 
 def eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
@@ -86,15 +74,6 @@ def solve_affine(
         basis.append(gcd_reduce(v))
     g = gcd(den, *x0)
     return [x // g for x in x0], den // g, basis
-
-
-def _exact_dtype(magnitude: int, terms: int):
-    """int64 when sums of ``terms`` products up to ``magnitude`` stay below 2**62.
-
-    The one overflow rule of the integer kernels: past the bound the same
-    expressions run on ``object`` arrays of Python ints.
-    """
-    return np.int64 if magnitude * max(terms, 2) < 2**62 else object
 
 
 def gcd_reduce(vec: Sequence[int]) -> tuple[int, ...]:

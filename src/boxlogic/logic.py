@@ -55,6 +55,15 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# bytes 0 and 1 as the binary digits "0" and "1"
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flag_mask(flags: Iterable[int]) -> int:
+    """The mask with bit k set where the k-th flag is 1 (each flag 0 or 1)."""
+    return int(bytes(flags)[::-1].translate(_DIGITS) or b"0", 2)
+
+
 def _union_below(family: Iterable[int], s: int) -> int:
     """Union of the members of ``family`` contained in ``s``."""
     u = 0

@@ -8,19 +8,16 @@ Description Method Revisited", 1996).  One fraction-free integer
 elimination (``linalg.eliminate``) sets the sweep up: the affine hull,
 the first ``cone_dim`` independent sign rows M, and the first cone basis
 as the columns of M's inverse, read from the reduction of ``[M | I]``.
-The sweep and the read-back of vertices then run as integer numpy array
-work:
+The sweep then runs on Python ints, which never overflow:
 
-- the rays are the rows of one integer matrix, int64 while every product
-  of a step stays below 2**62 and ``object`` (Python ints) past that, by
-  the rule ``linalg._exact_dtype`` also sets for the state kernel; both
-  dtypes run the same expressions;
-- each ray's active set is packed into ``uint64`` words, one bit per sign
-  constraint;
-- the pairs of a step are filtered and tested for adjacency in blocks
-  whose temporaries hold about ``_BLOCK_ENTRIES`` entries (at least one
-  row), so memory stays bounded however many rays a step holds;
-- the vertices are read back with one matrix product and one row gcd.
+- each ray is a tuple of its values on every sign constraint, reduced by
+  their gcd, so a step reads its constraint's value with no product;
+- each ray's active set is an int with one bit per swept constraint, and
+  each swept constraint's column is an int with one bit per ray;
+- a pair is adjacent when the AND of the columns of its common active set
+  holds the pair alone, and saturating miss counters over the columns
+  pick the pairs worth that test (``_adjacent_pairs``);
+- the vertices are read back from the ray values, one gcd per vertex.
 """
 
 from __future__ import annotations
@@ -29,14 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import not_
 
 from .errors import BoxLogicError, VariableCapExceeded
-from .linalg import _exact_dtype, eliminate, gcd_reduce, np, solve_affine
+from .linalg import eliminate, gcd_reduce, solve_affine
+from .logic import _bit_indices, _flag_mask
 from .scenario import DEFAULT_VARIABLE_CAP, AtomId, BoxWorldSpec, all_atom_ids
-
-# entries of each temporary in a block of the sweep's pair tests (at least one row)
-_BLOCK_ENTRIES = 1 << 14
-
 
 @dataclass(frozen=True)
 class HRep:
@@ -150,31 +145,34 @@ class VertexSet:
 def enumerate_vertices(hrep: HRep) -> VertexSet:
     """All extreme points of the polytope, exactly.
 
-    Two rays of the double description sweep are adjacent when no third
-    ray's active set contains their common active set, a test that is
-    exact for pointed cones.  A pair is only a candidate when its common
-    set has at least ``cone_dim - 2`` constraints, a popcount of the
-    AND of its words.  The exact test then counts, per candidate, the rays
-    whose words contain the common set: the pair is adjacent when the
-    count is two, the pair itself.
+    Each ray of the double description sweep is held as its values on every
+    sign constraint, gcd-reduced; its active set holds the swept constraints
+    where it is 0.  Two rays are adjacent when no third ray's active set
+    contains their common active set, a test that is exact for pointed
+    cones.  The rays holding a common set are the AND of the column masks
+    of its constraints (one bit per ray active there), so a pair is
+    adjacent when that AND is the pair itself.  Only pairs whose common set
+    has at least ``cone_dim - 2`` constraints reach the test
+    (``_adjacent_pairs``).
 
-    Vertices are read back over one denominator: with x0 scaled to
-    integers over d0, ray (s, r) gives x = (s*x0 + d0*basis^T r) / (s*d0),
-    one product of the ray matrix with ``[x0 | d0; d0*basis | 0]``.  Each
-    row is reduced by its gcd and scaled to the lcm of all vertex
-    denominators; sorting and deduplicating those integer rows gives the
-    order and the set of the ``Fraction`` tuples.
+    The vertex of ray v is x_i = v_i * g_i / (v_s * d0), with v_s its
+    value on s >= 0 and g_i the factor sign row i was divided by.  Each
+    vertex is reduced to its own denominator and scaled to the lcm of all
+    of them; sorting and deduplicating those integer rows gives the order
+    and the set of the ``Fraction`` tuples.
     """
     x0, d0, basis = solve_affine(hrep.eq_coeffs, hrep.eq_rhs, hrep.nvars)
     dim = len(basis)
     cone_dim = dim + 1
 
     # one homogeneous row per sign constraint: value of x_i as c*s + a.t >= 0,
-    # scaled by the denominator of x0_i alone, not d0, to keep the products small
+    # divided by g_i = gcd(x0_i, d0) to keep the values small
     cons: list[tuple[int, ...]] = []
+    divisors: list[int] = []
     for i in range(hrep.nvars):
         g = gcd(x0[i], d0)
         cons.append((x0[i] // g, *(d0 // g * vec[i] for vec in basis)))
+        divisors.append(g)
     cons.append((1,) + (0,) * dim)
 
     # the pivot columns of the transpose are the first independent rows: always
@@ -185,90 +183,96 @@ def enumerate_vertices(hrep: HRep) -> VertexSet:
     # and the columns of its right block are the first rays
     identity = [[int(i == k) for k in range(cone_dim)] for i in range(cone_dim)]
     reduced, _, _ = eliminate([[*row, *unit] for row, unit in zip(initial, identity)])
-    rays = np.array([gcd_reduce(col) for col in list(zip(*reduced))[cone_dim:]], dtype=object)
-    act = np.zeros((cone_dim, -(-len(cons) // 64)), dtype=np.uint64)
-    rays, dots = _exact_products(rays, initial)
-    for k, ci in enumerate(chosen):
-        _mark(act, dots[:, k] == 0, ci)
+    rays = [
+        gcd_reduce([sum(c * t for c, t in zip(row, col)) for row in cons])
+        for col in list(zip(*reduced))[cone_dim:]
+    ]
+    swept = set(chosen)
+    acts = [sum(1 << ci for ci in chosen if not ray[ci]) for ray in rays]
+    cols = _columns(rays, swept)
 
     for ci in range(len(cons)):
-        if ci in chosen:
+        if ci in swept:
             continue
-        rays, dots = _exact_products(rays, [cons[ci]], combine=True)
-        d = dots[:, 0]
-        _mark(act, d == 0, ci)
-        neg = np.flatnonzero(d < 0)
-        if not len(neg):
+        swept.add(ci)
+        pos, neg, zero = [], [], []
+        for k, ray in enumerate(rays):
+            (pos if ray[ci] > 0 else neg if ray[ci] < 0 else zero).append(k)
+        for k in zero:
+            acts[k] |= 1 << ci
+        if not neg:
+            cols[ci] = _flag_mask(not ray[ci] for ray in rays)
             continue
-        pos = np.flatnonzero(d > 0)
-        keep = np.concatenate([pos, np.flatnonzero(d == 0)])
-        new_rays, new_act = [rays[keep]], [act[keep]]
-        for p, n in _adjacent_pairs(act, pos, neg, cone_dim - 2):
-            fresh = d[p, None] * rays[n] - d[n, None] * rays[p]
-            new_rays.append(fresh // np.gcd.reduce(fresh, axis=1)[:, None])
-            common = act[p] & act[n]
-            _mark(common, slice(None), ci)
-            new_act.append(common)
-        rays, act = np.concatenate(new_rays), np.concatenate(new_act)
+        small, large = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
+        fresh, fresh_acts = [], []
+        for p, n in _adjacent_pairs(acts, cols, small, large, cone_dim - 2):
+            rp, rn = rays[p], rays[n]
+            dp, dn = abs(rp[ci]), abs(rn[ci])
+            fresh.append(gcd_reduce([dp * b + dn * a for a, b in zip(rp, rn)]))
+            fresh_acts.append(acts[p] & acts[n] | 1 << ci)
+        keep = pos + zero
+        rays = [rays[k] for k in keep] + fresh
+        acts = [acts[k] for k in keep] + fresh_acts
+        cols = _columns(rays, swept)
 
     # s >= 0 is one of the swept constraints, so s == 0 is the only way to fail
-    if (rays[:, 0] == 0).any():
+    if any(not ray[-1] for ray in rays):
         raise BoxLogicError("recession direction found; polytope is unbounded")
-    readback = [[*x0, d0]] + [[d0 * v for v in row] + [0] for row in basis]
-    _, both = _exact_products(rays, list(zip(*readback)))
-    both //= np.gcd.reduce(both, axis=1)[:, None]
-    scale = lcm(*both[:, -1].tolist())
-    magnitude = max(int(np.abs(both).max(initial=0)), 1) * scale
-    both = both.astype(_exact_dtype(magnitude, 1))
-    scaled = both[:, :-1] * (scale // both[:, -1:])
+    vertices = []
+    for ray in rays:
+        nums, den = [v * g for v, g in zip(ray, divisors)], ray[-1] * d0
+        g = gcd(den, *nums)
+        vertices.append(([v // g for v in nums], den // g))
+    scale = lcm(*(den for _, den in vertices))
     # integer keys over one denominator sort and compare as the Fraction tuples do
-    return VertexSet(hrep, dim, tuple(sorted(set(map(tuple, scaled.tolist())))), scale)
+    scaled = {tuple(v * (scale // den) for v in nums) for nums, den in vertices}
+    return VertexSet(hrep, dim, tuple(sorted(scaled)), scale)
 
 
-def _exact_products(
-    rays: np.ndarray, rows: list[tuple[int, ...]], *, combine: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rays and their dot products with ``rows``, both in the exact dtype.
+def _columns(rays: list[tuple[int, ...]], swept: set[int]) -> dict[int, int]:
+    """The column mask of each swept constraint: the rays active there."""
+    return {c: _flag_mask(map(not_, col)) for c, col in enumerate(zip(*rays)) if c in swept}
 
-    With ``combine`` the dtype also keeps ``d[p]*R[n] - d[n]*R[p]`` exact,
-    the new rays of a sweep step.
+
+def _adjacent_pairs(
+    acts: list[int], cols: dict[int, int], small: list[int], large: list[int], need: int
+):
+    """Adjacent (small, large) ray index pairs, in order over small x large.
+
+    For each ray p of the smaller side, a ray of the other side shares
+    ``need`` of p's active constraints when it misses at most
+    ``spare = |act(p)| - need`` of them.  Saturating miss counters over
+    p's columns give those candidates at once: ``misses[t]`` holds the
+    rays that miss more than t.  A candidate n is adjacent when the AND
+    of the columns of act(p) & act(n), started from every ray, leaves only
+    p and n; p's columns go sparsest first, so that most ANDs reach the
+    pair early.
     """
-    rmax = max(int(np.abs(rays).max(initial=0)), 1)
-    magnitude = rmax * max(abs(v) for row in rows for v in row)
-    if combine:
-        magnitude *= 2 * rmax
-    rays = rays.astype(_exact_dtype(magnitude, rays.shape[1]), copy=False)
-    return rays, rays @ np.array(rows, dtype=rays.dtype).T
-
-
-def _mark(act: np.ndarray, rows, ci: int) -> None:
-    """Add constraint ``ci`` to the active sets of ``rows``."""
-    act[rows, ci >> 6] |= np.uint64(1 << (ci & 63))
-
-
-def _adjacent_pairs(act: np.ndarray, pos: np.ndarray, neg: np.ndarray, need: int):
-    """Adjacent (positive, negative) ray index arrays, one block of positive
-    rays at a time, in row-major order over pos x neg.
-
-    A ray that holds the common set of a pair (p, n) shares at least that
-    many constraints with p, so the holder count of a block only reads the
-    rays that share ``need`` constraints with one of its positive rays.
-    """
-    words = act.shape[1]
-    is_neg = np.zeros(len(act), dtype=bool)
-    is_neg[neg] = True
-    rows = max(1, _BLOCK_ENTRIES // (len(act) * words))
-    for start in range(0, len(pos), rows):
-        block = pos[start : start + rows]
-        shared = np.bitwise_count(act[block][:, None, :] & act[None, :, :]).sum(axis=2) >= need
-        near = act[shared.any(axis=0)][None, :, :]
-        i, n = np.nonzero(shared & is_neg)
-        p = block[i]
-        pairs = max(1, _BLOCK_ENTRIES // (near.shape[1] * words))
-        adjacent = np.zeros(len(p), dtype=bool)
-        for k in range(0, len(p), pairs):
-            common = (act[p[k : k + pairs]] & act[n[k : k + pairs]])[:, None, :]
-            holders = ((near & common) == common).all(axis=2).sum(axis=1)
-            adjacent[k : k + pairs] = holders == 2
-        yield p[adjacent], n[adjacent]
-
+    other = sum(1 << k for k in large)
+    everyone = (1 << len(acts)) - 1
+    for p in small:
+        spare = acts[p].bit_count() - need
+        if spare < 0:
+            continue
+        held = sorted(
+            ((1 << c, cols[c]) for c in _bit_indices(acts[p])), key=lambda e: e[1].bit_count()
+        )
+        misses = [0] * (spare + 1)
+        for _, col in held:
+            miss = other & ~col
+            for t in range(spare, 0, -1):
+                misses[t] |= misses[t - 1] & miss
+            misses[0] |= miss
+        candidates = other & ~misses[spare]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            n = low.bit_length() - 1
+            act, pair, holders = acts[n], 1 << p | low, everyone
+            for bit, col in held:
+                if act & bit:
+                    holders &= col
+                    if holders == pair:
+                        break
+            if holders == pair:
+                yield p, n

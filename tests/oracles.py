@@ -393,6 +393,17 @@ def naive_additive(elements, values) -> bool:
     )
 
 
+def naive_unwitnessed(elements, rows) -> list:
+    """Pairs (p, q), p not contained in q, such that no value row gives p a
+    larger value than q, in ascending order."""
+    return [
+        (p, q)
+        for p, a in enumerate(elements)
+        for q, b in enumerate(elements)
+        if a & ~b and not any(values[p] > values[q] for values in rows)
+    ]
+
+
 def naive_covers(elements) -> list:
     """Pairs p < q of the subset order with no element strictly between."""
     above = [

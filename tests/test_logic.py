@@ -648,12 +648,11 @@ def test_step_walk_refuses_as_the_naive_checks_do():
 @pytest.mark.parametrize("scenario", ["chsh", "three_input"])
 def test_step_table_is_in_walk_order(request, scenario):
     """Every reader sees the steps in (lower, upper) order, the order the
-    monotonicity gathers run in, with the atom upper - lower."""
+    state kernel reads them in, with the atom upper - lower."""
     logic = request.getfixturevalue(f"{scenario}_logic")
     expect = [(i, logic.atom_indices[pos], u) for i, pos, u in oracles.atom_steps(logic)]
     assert expect == sorted(expect, key=lambda step: (step[0], step[2]))
-    lower, atom, upper = bl.states._step_arrays(logic)
-    assert list(zip(lower.tolist(), atom.tolist(), upper.tolist())) == expect
+    assert bl.states._steps(logic) == expect
     edges = logic.covers()
     assert edges == [(i, u) for i, _, u in expect]
     # the list is the caller's own

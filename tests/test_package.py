@@ -80,7 +80,7 @@ def test_names_import_their_module_on_first_read():
     ).stdout.splitlines()
     assert out == [
         "[]",
-        # the logic layer computes without numpy, so it does not load the lazy handle
+        # reading a logic name loads the logic layer and what it imports, nothing more
         "['boxlogic.errors', 'boxlogic.logic', 'boxlogic.scenario']",
         "True False",
     ]

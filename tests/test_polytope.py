@@ -3,8 +3,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boxlogic as bl
 from boxlogic import BoxWorldSpec
@@ -193,6 +193,23 @@ def test_nonlocal_vertex_count_with_binary_outcomes(left, right, expected):
     assert bl.enumerate_vertices(hrep).count("nondeterministic") == expected
 
 
+# Drawn shapes up to [2,2,2]x[2,2,2], whose sweep takes about 0.2 s
+@settings(max_examples=16, deadline=5000)
+@given(st.lists(st.sampled_from([2, 3]), min_size=4, max_size=4))
+def test_nonlocal_vertex_count_matches_the_closed_form_with_two_inputs(sizes):
+    hrep = bl.ns_polytope(BoxWorldSpec.from_sizes(sizes[:2], sizes[2:]))
+    count = bl.enumerate_vertices(hrep).count("nondeterministic")
+    assert count == oracles.two_input_nonlocal_count(sizes)
+
+
+@settings(max_examples=9, deadline=5000)
+@given(st.integers(1, 3), st.integers(1, 3))
+def test_nonlocal_vertex_count_matches_the_closed_form_with_binary_outcomes(m_a, m_b):
+    hrep = bl.ns_polytope(BoxWorldSpec.from_sizes([2] * m_a, [2] * m_b))
+    count = bl.enumerate_vertices(hrep).count("nondeterministic")
+    assert count == oracles.binary_nonlocal_count(m_a, m_b)
+
+
 def test_unbounded_system_rejected():
     # x0 = x1 >= 0 has the recession direction (1, 1)
     variables = bl.all_atom_ids(SINGLE_PAIR)[:2]
@@ -263,11 +280,11 @@ def test_vertex_csv_stable(chsh_polytope):
     assert text == buffer.getvalue()
 
 
-# Hand-built systems whose sweep passes the int64 bound.  "crossing" has
-# small coefficients: its rays start in int64, pass 2**62 in the sweep and
-# come back below it.  "combinations" stays in int64 only if the bound
-# leaves out the new rays' products d[p] * R[n], which then overflow.
-# "large" has ten-digit coefficients and is past the bound from the start.
+# Hand-built systems whose sweep passes 2**63.  "crossing" has small
+# coefficients: its rays pass 2**62 in the sweep and come back below it.
+# "combinations" keeps its rays below 2**62, but the products d[p] * R[n]
+# that combine them pass it.  "large" has ten-digit coefficients and is
+# past 2**62 from the start.
 PAST_INT64_SYSTEMS = {
     "crossing": (
         (
@@ -295,49 +312,16 @@ PAST_INT64_SYSTEMS = {
 }
 
 
-def test_exact_dtype_bound():
-    from boxlogic.linalg import _exact_dtype
-
-    assert _exact_dtype(2**62 // 8 - 1, 8) is np.int64
-    assert _exact_dtype(2**62 // 8, 8) is object
-    # a single term is bounded as a sum of two
-    assert _exact_dtype(2**61 - 1, 1) is np.int64
-    assert _exact_dtype(2**61, 1) is object
-
-
 @pytest.mark.parametrize("name", PAST_INT64_SYSTEMS)
-def test_object_dtype_sweep_matches_basic_solutions(monkeypatch, name):
-    from boxlogic import polytope
-
+def test_object_dtype_sweep_matches_basic_solutions(name):
     coeffs, rhs = PAST_INT64_SYSTEMS[name]
     hrep = bl.HRep(CHSH, bl.all_atom_ids(CHSH)[: len(coeffs[0])], coeffs, rhs)
-    chosen = []
-    exact_dtype = polytope._exact_dtype
-
-    def recording(magnitude, terms):
-        chosen.append(exact_dtype(magnitude, terms))
-        return chosen[-1]
-
-    monkeypatch.setattr(polytope, "_exact_dtype", recording)
     vertex_set = bl.enumerate_vertices(hrep)
-    assert object in chosen
-    if name == "crossing":
-        assert chosen[0] is np.int64 and np.int64 in chosen[1:-1]
     assert max(abs(v) for row in vertex_set.scaled for v in row) > 2**63
     expected = oracles.basic_solution_vertices(hrep)
     assert len(expected) > 5
     assert set(vertex_set.vertices) == expected
     assert len(vertex_set) == len(expected)
-
-
-@pytest.mark.parametrize("entries", [1, 7])
-@pytest.mark.parametrize("polytope_fixture", ["chsh_polytope", "three_input_polytope"])
-def test_block_size_does_not_change_vertices(monkeypatch, request, entries, polytope_fixture):
-    from boxlogic import polytope
-
-    hrep, vertex_set = request.getfixturevalue(polytope_fixture)
-    monkeypatch.setattr(polytope, "_BLOCK_ENTRIES", entries)
-    assert bl.enumerate_vertices(hrep) == vertex_set
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
@@ -351,8 +335,8 @@ def test_integer_classes_match_fraction_classes(path):
 
 
 def test_two_word_active_sets_match_basic_solutions():
-    # 66 sign constraints and the homogenizing one fill two uint64 words;
-    # the sweep's two steps run on constraints of the second word
+    # 66 sign constraints and the homogenizing one: active sets wider than
+    # one 64-bit word, and the sweep's two steps run on constraints past it
     rng = random.Random(3)
     n = 66
     coeffs = (

@@ -2,9 +2,9 @@ import functools
 import math
 import random
 import re
+from array import array
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import boxlogic as bl
@@ -276,7 +276,7 @@ def test_non_additive_state_rejected(chsh_logic):
     assert broken.value(i) + broken.value(j) != broken.value(u)
 
 
-# -- object dtype, taken when denominators pass the int64 bound -------------------
+# -- denominators past 2**62 ----------------------------------------------------------
 
 
 def past_int64_mixture(spec):
@@ -289,12 +289,21 @@ def test_state_from_pr_past_int64_matches_fraction_sums(chsh_logic):
     pr = past_int64_mixture(CHSH)
     rho = bl.state_from_pr(chsh_logic, pr)
     assert rho.denominator > 2**62
-    assert rho.numerators.dtype == object
+    assert [rho.value(i) for i in range(len(chsh_logic.elements))] == fraction_sums(chsh_logic, pr)
     for i in range(len(chsh_logic.elements)):
         for dec in chsh_logic.all_decompositions(i):
             atoms = (pr.atom_value(chsh_logic.atom_ids[pos]) for pos in dec)
             assert rho.value(i) == sum(atoms, Fraction(0))
     assert bl.pr_from_state(rho).table == pr.table
+
+
+def fraction_sums(logic, pr):
+    """Each element's value as the Fraction sum of the table entries of its
+    canonical partition."""
+    return [
+        sum((pr.atom_value(logic.atom_ids[pos]) for pos in logic.decomposition(i)), Fraction(0))
+        for i in range(len(logic.elements))
+    ]
 
 
 def signalling_past_int64(spec):
@@ -319,26 +328,31 @@ def test_signalling_table_past_int64_breaks_well_definedness(chsh_logic):
 
 
 def test_additivity_scan_past_int64(chsh_logic):
-    rho = bl.state_from_pr(chsh_logic, past_int64_mixture(CHSH))
+    pr = past_int64_mixture(CHSH)
+    rho = bl.state_from_pr(chsh_logic, pr)
     unchecked = bl.LogicState(chsh_logic, rho.denominator, rho.numerators)
-    assert unchecked.numerators.dtype == object
+    sums = fraction_sums(chsh_logic, pr)
+    assert [unchecked.value(i) for i in range(len(sums))] == sums
     assert bl.verify_state_additivity(unchecked)
     nums = list(rho.numerators)
-    nums[chsh_logic.atom_element(AtomId(0, 0, 0, 0))] += 1
+    atom = chsh_logic.atom_element(AtomId(0, 0, 0, 0))
+    nums[atom] += 1
     broken = bl.LogicState(chsh_logic, rho.denominator, nums)
-    assert broken.numerators.dtype == object
+    assert broken.value(atom) == sums[atom] + Fraction(1, rho.denominator)
     assert not bl.verify_state_additivity(broken)
 
 
 def test_monotonicity_scan_past_int64(chsh_logic):
-    rho = bl.state_from_pr(chsh_logic, past_int64_mixture(CHSH))
-    assert rho.numerators.dtype == object
+    pr = past_int64_mixture(CHSH)
+    rho = bl.state_from_pr(chsh_logic, pr)
+    sums = fraction_sums(chsh_logic, pr)
+    assert [rho.value(i) for i in range(len(sums))] == sums
     pairs = len(list(chsh_logic.comparable_pairs()))
     assert bl.verify_state_monotonicity(chsh_logic, [rho, rho]) == (True, 2 * pairs)
     nums = list(rho.numerators)
     nums[chsh_logic.index_of(chsh_logic.full_mask)] = 0
     broken = bl.LogicState(chsh_logic, rho.denominator, nums)
-    assert broken.numerators.dtype == object
+    assert broken.value(chsh_logic.index_of(chsh_logic.full_mask)) == 0
     assert bl.verify_state_monotonicity(chsh_logic, [rho, broken]) == (False, pairs)
 
 
@@ -374,13 +388,11 @@ def walk_rows(logic, rows, dens):
     of each row, the state of each valid one (None for the others) and how
     many valid rows read back another table."""
     valid, states, failures = [], [], 0
-    for ok, values, den, bad in bl.states._walk_tables(logic, zip(rows, dens)):
-        kept = zip(den.tolist(), values)
-        valid += ok.tolist()
-        states += [
-            bl.LogicState(logic, *next(kept), additive_checked=True) if flag else None
-            for flag in ok.tolist()
-        ]
+    for row, bad in bl.states._walk_tables(logic, zip(rows, dens)):
+        valid.append(row is not None)
+        states.append(
+            bl.LogicState(logic, row.den, row.values(), additive_checked=True) if row else None
+        )
         failures += bad
     return valid, states, failures
 
@@ -421,9 +433,24 @@ def test_kernel_matches_oracle_on_vertices_and_mixtures(request, scenario):
         ]
     rows = [*vertex_set.scaled, *mixed]
     dens = [vertex_set.scale] * len(vertex_set) + list(dens)
-    valid, states = assert_kernel_matches_oracle(logic, rows, dens, vertices + mixtures)
+    valid, _ = assert_kernel_matches_oracle(logic, rows, dens, vertices + mixtures)
     assert all(valid)
-    assert {s.numerators.dtype for s in states} == {np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("scenario", ["chsh", "three_input"])
+def test_packed_rows_read_as_their_values(request, scenario):
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    _, vertex_set = request.getfixturevalue(f"{scenario}_polytope")
+    walk = bl.states._walk_tables(logic, ((row, vertex_set.scale) for row in vertex_set.scaled))
+    rows = [row for row, _ in walk]
+    supports = [row.support() for row in rows]
+    assert supports == [bl.states._ValueRow(row.values(), row.den).support() for row in rows]
+    # the two-valued vertices are the deterministic ones, each supported on the
+    # elements that hold its sample point
+    assert sum(s is not None for s in supports) == vertex_set.count("deterministic")
+    assert {s for s in supports if s is not None} == {
+        logic.containing(1 << x) for x in range(logic.ground_size)
+    }
 
 
 def test_kernel_matches_oracle_past_int64(chsh_logic):
@@ -431,7 +458,7 @@ def test_kernel_matches_oracle_past_int64(chsh_logic):
     rows, dens = zip(*(table_row(chsh_logic, pr) for pr in prs))
     valid, states = assert_kernel_matches_oracle(chsh_logic, rows, dens, prs)
     assert valid == [True, True, False]
-    assert states[0].numerators.dtype == object
+    assert states[0].denominator > 2**62
 
 
 def test_batch_flags_exactly_the_invalid_rows(chsh_logic, chsh_vertex_states):
@@ -468,50 +495,55 @@ def test_first_well_definedness_failure_matches_oracle(chsh_logic, chsh_vertex_s
         text = well_definedness_text(failure)
         with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
             bl.state_from_pr(chsh_logic, pr, validate=False)
-    # in a batch, the first failing table is the one reported
+    # of the tables walked in turn, the first failing one is the one reported
     tables = bl.states._state_tables(chsh_logic)
     prs = [*chsh_vertex_states * 3, signalling_table(CHSH), signalling_past_int64(CHSH)]
-    x, den = tables.batch(*zip(*(table_row(chsh_logic, pr) for pr in prs)))
     text = well_definedness_text(oracles.first_step_failure(chsh_logic, prs[-2]))
     with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
-        tables.extend(x, den)
+        for pr in prs:
+            tables.extend(*table_row(chsh_logic, pr))
 
 
-def test_batch_dtype_reads_a_large_negative_entry(chsh_logic):
+def test_lane_width_reads_a_large_negative_entry(chsh_logic):
     tables = bl.states._state_tables(chsh_logic)
     small = [1] * tables.natoms
-    assert tables.batch([small], [1])[0].dtype == np.int64
-    # the only entry past the int64 rule is negative
+    assert tables.pack(small, 1)[0].w == 8
+    # the only entry past 2**62 is negative: the walk refuses the row, and its
+    # packed values are still exact, lane by lane, as P - Q
     big = [-(2**62) - 1, *small[1:]]
-    x, den = tables.batch([small, big], [1, 1])
-    assert x.dtype == object
-    assert x[1].tolist() == big and den.tolist() == [1, 1]
+    assert tables.round_trip(big, 1) == (None, False)
+    lanes, p, q = tables.pack(big, 1)
+    assert lanes.w == 128
+    values = [a - b for a, b in zip(tables.unpack(p >> lanes.shift, lanes), tables.unpack(q >> lanes.shift, lanes))]
+    decompositions = [chsh_logic.decomposition(i) for i in range(len(chsh_logic.elements))]
+    assert values == [sum(big[pos] for pos in parts) for parts in decompositions]
 
 
-# -- the chunk walk: one row per chunk changes nothing ---------------------------------
+# -- the walk: one table at a time ------------------------------------------------------
 
 
-def one_row_chunks(monkeypatch):
-    """Make every chunk of the kernel walk one row, and return the chunk sizes seen."""
-    monkeypatch.setattr(bl.states, "_CHUNK_ENTRIES", 1)
-    sizes, batch = [], bl.states._StateTables.batch
+def walked_tables(monkeypatch):
+    """Record every table the kernel walk takes, as (row, den), and return the list."""
+    seen, round_trip = [], bl.states._StateTables.round_trip
 
-    def counted(self, rows, dens):
-        sizes.append(len(rows))
-        return batch(self, rows, dens)
+    def counted(self, x, den):
+        seen.append((list(x), den))
+        return round_trip(self, x, den)
 
-    monkeypatch.setattr(bl.states._StateTables, "batch", counted)
-    return sizes
+    monkeypatch.setattr(bl.states._StateTables, "round_trip", counted)
+    return seen
 
 
 @pytest.mark.parametrize("scenario", ["chsh", "three_input"])
 def test_one_row_chunks_give_the_same_report(request, monkeypatch, scenario):
     logic = request.getfixturevalue(f"{scenario}_logic")
     default = canonical_json(bl.verify_scenario(logic.spec, seed=5, logic=logic))
-    sizes = one_row_chunks(monkeypatch)
+    seen = walked_tables(monkeypatch)
     assert canonical_json(bl.verify_scenario(logic.spec, seed=5, logic=logic)) == default
+    # each vertex, then each mixture, once, reduced to lowest terms
     vertices = {"chsh": 24, "three_input": 1408}[scenario]
-    assert sizes == [1] * (vertices + 100)
+    assert len(seen) == vertices + 100
+    assert all(math.gcd(den, *row) == 1 for row, den in seen)
 
 
 @pytest.mark.parametrize("k", [0, 5, 23])
@@ -519,10 +551,9 @@ def test_an_invalid_vertex_keeps_its_place_past_the_first_chunk(
     chsh_logic, monkeypatch, invalid_vertex, k
 ):
     invalid_vertex(k)
-    default = bl.verify_scenario(CHSH, sample_count=10, logic=chsh_logic)
-    one_row_chunks(monkeypatch)
-    assert bl.verify_scenario(CHSH, sample_count=10, logic=chsh_logic) == default
-    section = default["state_correspondence"]
+    seen = walked_tables(monkeypatch)
+    section = bl.verify_scenario(CHSH, sample_count=10, logic=chsh_logic)["state_correspondence"]
+    assert seen[k] == ([0] * 16, 1)
     assert (section["all_tables_valid"], section["round_trip_failures"]) == (False, 0)
     assert section["monotonicity"] == {"ok": True, "checked": 23 * chsh_logic.comparable_count()}
     assert section["order_determining"]["states_used"] == 23
@@ -566,7 +597,7 @@ def test_a_negative_row_never_reaches_the_monotonicity_count(chsh_logic, chsh_po
     section = bl.states.check_table_rows(logic, [*rows, negative], 2 * scale, 0, 0)
     assert section["all_tables_valid"] is False
     assert section["monotonicity"] == {"ok": True, "checked": 24 * logic.comparable_count()}
-    table = bl.states._state_tables(logic).table(np.array(negative), 2 * scale)
+    table = bl.states._state_tables(logic).table(negative, 2 * scale)
     rho = bl.state_from_pr(logic, table, validate=False)
     assert bl.verify_state_monotonicity(logic, [rho]) == (False, 0)
 
@@ -578,15 +609,29 @@ def test_a_well_definedness_break_keeps_its_message_past_the_first_chunk(
     rows, dens = zip(*(table_row(chsh_logic, pr) for pr in prs))
     text = well_definedness_text(oracles.first_step_failure(chsh_logic, prs[-2]))
     # every row passes validation, so the signalling tables reach the step check
-    monkeypatch.setattr(
-        bl.states._StateTables, "valid", lambda self, x, den: np.ones(len(x), dtype=bool)
-    )
+    monkeypatch.setattr(bl.states._StateTables, "valid", lambda self, lanes, p, q: True)
+    seen = walked_tables(monkeypatch)
     with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
         walk_rows(chsh_logic, rows, dens)
-    sizes = one_row_chunks(monkeypatch)
-    with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
-        walk_rows(chsh_logic, rows, dens)
-    assert sizes == [1] * (len(prs) - 1)
+    # the rows before it were walked, and the walk stopped at it
+    assert len(seen) == len(prs) - 1
+
+
+def test_read_back_refuses_values_that_are_no_table(chsh_logic, monkeypatch):
+    logic = chsh_logic
+    # additive, but 2 on the full set
+    doubled = [2 * v for v in bl.point_state(logic, 0).numerators]
+    with pytest.raises(bl.StateError, match=r"^state does not assign 1 to the full set$"):
+        bl.pr_from_state(bl.LogicState(logic, 1, doubled, additive_checked=True))
+    # additive and normalized, with negative values
+    negative = invalid_tables(CHSH)[1]
+    with pytest.raises(bl.StateError, match=r"^state values leave \[0, 1\]$"):
+        bl.pr_from_state(bl.state_from_pr(logic, negative, validate=False))
+    # in the walk, a row whose packed lanes disagree past E and W is read back
+    # from its unpacked values, which name the failure
+    monkeypatch.setattr(bl.states._StateTables, "valid", lambda self, lanes, p, q: True)
+    with pytest.raises(bl.StateError, match=r"^state does not assign 1 to the full set$"):
+        walk_rows(logic, [[0] * 16], [1])
 
 
 # -- the step certificate against every atomic partition ------------------------------
@@ -650,7 +695,7 @@ def test_step_certificate_matches_every_partition(request, scenario, big):
                 bl.state_from_pr(logic, pr, validate=False)
             continue
         rho = bl.state_from_pr(logic, pr, validate=False)
-        assert rho.numerators.dtype == (object if big else np.int64)
+        assert (rho.denominator > 2**62) == big
         assert [int(v) * expect["den"] for v in rho.numerators] == [
             v * rho.denominator for v in expect["numerators"]
         ]
@@ -661,10 +706,8 @@ def test_step_certificate_matches_every_partition(request, scenario, big):
 @pytest.mark.parametrize("scenario", ["chsh", "three_input", "two_by_three"])
 def test_canonical_partitions_are_the_lex_least(request, scenario):
     logic = request.getfixturevalue(f"{scenario}_logic")
-    expect = np.zeros((len(logic.atom_bits), len(logic.elements)), dtype=np.int64)
-    for i in range(len(logic.elements)):
-        expect[list(logic.decomposition(i)), i] = 1
-    assert np.array_equal(bl.states._StateTables(logic).canon, expect)
+    expect = [sum(1 << pos for pos in logic.decomposition(i)) for i in range(len(logic.elements))]
+    assert bl.states._StateTables(logic).canon == expect
 
 
 @pytest.mark.parametrize("scenario", ["chsh", "three_input"])
@@ -678,9 +721,12 @@ def test_constraint_rows_are_the_distinct_step_rows(request, scenario):
             row[p] += 1
         for p in least[u]:
             row[p] -= 1
-        expect.add(tuple(row))
-    rows = bl.states._StateTables(logic).constraints.T.tolist()
-    assert len(rows) == len(expect) and set(map(tuple, rows)) == expect
+        assert set(row) <= {-1, 0, 1}
+        expect.add(
+            (sum(1 << p for p, v in enumerate(row) if v > 0), sum(1 << p for p, v in enumerate(row) if v < 0))
+        )
+    rows = bl.states._StateTables(logic).constraints
+    assert len(rows) == len(expect) and set(rows) == expect
 
 
 def test_state_kernel_walks_the_steps_once():
@@ -721,12 +767,13 @@ def test_state_kernel_refuses_an_unclosed_table(build):
 
 
 def test_state_does_not_share_a_writeable_array(chsh_logic):
-    nums = np.array([1 if e & 1 else 0 for e in chsh_logic.elements], dtype=np.int64)
-    state = bl.LogicState(chsh_logic, 1, nums, additive_checked=True)
-    assert state == bl.point_state(chsh_logic, 0)
-    nums[:] = 0
-    assert state == bl.point_state(chsh_logic, 0)
-    assert not state.numerators.flags.writeable
+    bits = [1 if e & 1 else 0 for e in chsh_logic.elements]
+    for nums in (list(bits), array("q", bits)):
+        state = bl.LogicState(chsh_logic, 1, nums, additive_checked=True)
+        for k in range(len(nums)):
+            nums[k] = 0
+        assert state == bl.point_state(chsh_logic, 0)
+        assert type(state.numerators) is tuple
 
 
 @pytest.mark.parametrize(
@@ -742,7 +789,7 @@ def test_state_refuses_non_integer_input(chsh_logic, denominator, numerators):
     n = len(chsh_logic.elements)
     numerators = {
         "half_list": [0.5] * n,
-        "float_array": np.full(n, 0.7),
+        "float_array": array("d", [0.7] * n),
         "fraction_list": [Fraction(1, 2)] * n,
         "zero_list": [0] * n,
     }[numerators]
@@ -750,20 +797,32 @@ def test_state_refuses_non_integer_input(chsh_logic, denominator, numerators):
         bl.LogicState(chsh_logic, denominator, numerators)
 
 
+class Index:
+    """An integer type of another library: an int through ``__index__`` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_state_accepts_integer_input(chsh_logic):
     point = bl.point_state(chsh_logic, 0)
-    ints = [int(v) for v in point.numerators]
+    ints = list(point.numerators)
     for den, nums in [
-        (1, np.array(ints, dtype=np.int64)),
-        (np.int64(1), np.array(ints, dtype=bool)),
-        (1, list(point.numerators)),
-        (1, np.array(ints, dtype=object)),
+        (1, array("q", ints)),
+        (Index(1), [Index(v) for v in ints]),
+        (True, [bool(v) for v in ints]),
+        (1, tuple(ints)),
     ]:
-        assert bl.LogicState(chsh_logic, den, nums) == point
+        state = bl.LogicState(chsh_logic, den, nums)
+        assert state == point
+        assert state.numerators == point.numerators and state.denominator == 1
     big = 2**63
-    for nums in ([v * big for v in ints], np.array([v * big for v in ints], dtype=object)):
-        state = bl.LogicState(chsh_logic, big, nums)
-        assert state.numerators.dtype == object
+    for nums in ([v * big for v in ints], [Index(v * big) for v in ints]):
+        state = bl.LogicState(chsh_logic, Index(big), nums)
+        assert state.numerators == tuple(v * big for v in ints)
         assert state == point
 
 
@@ -899,7 +958,8 @@ def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex
         chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
         chosen.append(_altered_deterministic(logic, states, classes))
         witnesses = bl.states._OrderWitnesses(logic)
-        witnesses.add([s.numerators for s in chosen], [s.denominator for s in chosen])
+        for s in chosen:
+            witnesses.add(bl.states._ValueRow(s.numerators, s.denominator))
         assert witnesses.certified.bit_count() == 32
     fast = bl.check_order_determining(logic, chosen)
     scan = order_report(logic, chosen, 1000)
@@ -910,6 +970,36 @@ def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex
     del fast_dict["strategy"], scan_dict["strategy"]
     assert fast_dict == scan_dict
     assert fast.ok == (case == "nonlocal_vertices")
+
+
+@pytest.mark.parametrize("case", ["chsh_uniform", "chsh_vertices", "three_input_half"])
+def test_order_failures_match_the_naive_pairs(request, case):
+    if case == "three_input_half":
+        # past the full-scan limit: half of the points certified, the rest scanned
+        logic = request.getfixturevalue("three_input_logic")
+        states, classes = request.getfixturevalue("three_input_vertex_states")
+        chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
+        chosen.append(_altered_deterministic(logic, states, classes))
+    else:
+        logic = request.getfixturevalue("chsh_logic")
+        if case == "chsh_uniform":
+            chosen = [bl.state_from_pr(logic, bl.PRState.uniform(CHSH))]
+        else:
+            vertices = request.getfixturevalue("chsh_vertex_states")
+            chosen = [bl.state_from_pr(logic, pr) for pr in vertices[:5]]
+    report = bl.check_order_determining(logic, chosen)
+    expect = oracles.naive_unwitnessed(logic.elements, [s.numerators for s in chosen])
+    assert expect
+    limit = bl.states._FAILURE_LIMIT
+    assert [(f["p"], f["q"]) for f in report.failures] == expect[:limit]
+    assert report.ok is False
+
+
+def test_lane_width_keeps_a_guard_bit():
+    width = bl.states._lane_width
+    assert [width(v) for v in (0, 1, 127, 128, 2**15 - 1, 2**15, 2**63 - 1, 2**63)] == [
+        8, 8, 8, 16, 16, 32, 64, 128
+    ]
 
 
 def test_candidate_pairs_in_small_blocks_give_the_same_failures(
@@ -937,12 +1027,10 @@ def test_verify_walks_the_vertices_again_for_an_uncertified_point(
     kept = [s for k, s in enumerate(states) if k not in dropped]
     scan = order_report(three_input_logic, kept, 1000)
     expect = {**scan.to_dict(), "strategy": "point-state witnesses, verified against stored values"}
+    seen = walked_tables(monkeypatch)
     section = bl.verify_scenario(THREE_INPUT, sample_count=0, logic=three_input_logic)
     assert section["state_correspondence"]["order_determining"] == expect
-    sizes = one_row_chunks(monkeypatch)
-    section = bl.verify_scenario(THREE_INPUT, sample_count=0, logic=three_input_logic)
-    assert section["state_correspondence"]["order_determining"] == expect
-    assert len(sizes) == 2 * 1408
+    assert len(seen) == 2 * 1408
 
 
 # -- monotonicity and additivity against all-pairs scans ------------------------------
@@ -971,11 +1059,12 @@ def test_monotonicity_and_additivity_match_all_pairs(request, case):
         states = random.Random(5).sample(states, 12)
     else:
         logic = request.getfixturevalue("chsh_logic")
-        rho = bl.state_from_pr(logic, past_int64_mixture(CHSH))
+        pr = past_int64_mixture(CHSH)
+        rho = bl.state_from_pr(logic, pr)
         nums = [int(v) for v in rho.numerators]
         nums[logic.index_of(logic.full_mask)] = 0
         states = [rho, bl.LogicState(logic, rho.denominator, nums)]
-        assert {s.numerators.dtype for s in states} == {np.dtype(object)}
+        assert [rho.value(i) for i in range(len(nums))] == fraction_sums(logic, pr)
     monotone = []
     for s in _states_and_nudged(logic, states, seed=3):
         values = [int(v) for v in s.numerators]
