@@ -14,9 +14,11 @@ The sweep then runs on Python ints, which never overflow:
   their gcd, so a step reads its constraint's value with no product;
 - each ray's active set is an int with one bit per swept constraint, and
   each swept constraint's column is an int with one bit per ray;
-- a pair is adjacent when the AND of the columns of its common active set
-  holds the pair alone, and saturating miss counters over the columns
-  pick the pairs worth that test (``_adjacent_pairs``);
+- a pair (p, n) is adjacent when the AND of the columns of its common
+  active set holds the pair alone.  A ray r with act(p) - act(r) inside
+  act(p) - act(n) holds that set too, so a ray missing one of p's
+  constraints strikes every other ray missing it, and saturating miss
+  counters drop the pairs that share too few (``_adjacent_pairs``);
 - the vertices are read back from the ray values, one gcd per vertex.
 """
 
@@ -30,7 +32,7 @@ from operator import not_
 
 from .errors import BoxLogicError, VariableCapExceeded
 from .linalg import eliminate, gcd_reduce, solve_affine
-from .logic import _bit_indices, _flag_mask
+from .logic import _flag_mask
 from .scenario import DEFAULT_VARIABLE_CAP, AtomId, BoxWorldSpec, all_atom_ids
 
 @dataclass(frozen=True)
@@ -151,9 +153,10 @@ def enumerate_vertices(hrep: HRep) -> VertexSet:
     contains their common active set, a test that is exact for pointed
     cones.  The rays holding a common set are the AND of the column masks
     of its constraints (one bit per ray active there), so a pair is
-    adjacent when that AND is the pair itself.  Only pairs whose common set
-    has at least ``cone_dim - 2`` constraints reach the test
-    (``_adjacent_pairs``).
+    adjacent when that AND is the pair itself.  A third ray r with
+    act(p) - act(r) inside act(p) - act(n) holds the common set of (p, n),
+    so no pair it refutes reaches the test; nor does a pair whose common
+    set has fewer than ``cone_dim - 2`` constraints (``_adjacent_pairs``).
 
     The vertex of ray v is x_i = v_i * g_i / (v_s * d0), with v_s its
     value on s >= 0 and g_i the factor sign row i was divided by.  Each
@@ -189,7 +192,6 @@ def enumerate_vertices(hrep: HRep) -> VertexSet:
     ]
     swept = set(chosen)
     acts = [sum(1 << ci for ci in chosen if not ray[ci]) for ray in rays]
-    cols = _columns(rays, swept)
 
     for ci in range(len(cons)):
         if ci in swept:
@@ -201,9 +203,9 @@ def enumerate_vertices(hrep: HRep) -> VertexSet:
         for k in zero:
             acts[k] |= 1 << ci
         if not neg:
-            cols[ci] = _flag_mask(not ray[ci] for ray in rays)
             continue
         small, large = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
+        cols = _columns(rays, swept)
         fresh, fresh_acts = [], []
         for p, n in _adjacent_pairs(acts, cols, small, large, cone_dim - 2):
             rp, rn = rays[p], rays[n]
@@ -213,7 +215,6 @@ def enumerate_vertices(hrep: HRep) -> VertexSet:
         keep = pos + zero
         rays = [rays[k] for k in keep] + fresh
         acts = [acts[k] for k in keep] + fresh_acts
-        cols = _columns(rays, swept)
 
     # s >= 0 is one of the swept constraints, so s == 0 is the only way to fail
     if any(not ray[-1] for ray in rays):
@@ -239,34 +240,47 @@ def _adjacent_pairs(
 ):
     """Adjacent (small, large) ray index pairs, in order over small x large.
 
-    For each ray p of the smaller side, a ray of the other side shares
-    ``need`` of p's active constraints when it misses at most
-    ``spare = |act(p)| - need`` of them.  Saturating miss counters over
-    p's columns give those candidates at once: ``misses[t]`` holds the
-    rays that miss more than t.  A candidate n is adjacent when the AND
-    of the columns of act(p) & act(n), started from every ray, leaves only
-    p and n; p's columns go sparsest first, so that most ANDs reach the
-    pair early.
+    For each ray p of the smaller side, let D_x = act(p) - act(x).  A third
+    ray r with D_r a subset of D_n holds act(p) & act(n), so (p, n) is not
+    adjacent: a ray that misses exactly one of p's columns, c, strikes
+    every other ray missing c.  Of the rays left, saturating miss counters
+    over the columns without such a witness keep those that miss at most
+    ``spare = |act(p)| - need``: ``misses[t]`` holds the rays that miss
+    more than t.  A survivor n is adjacent when the AND of the columns of
+    act(p) & act(n), started from every ray, leaves only p and n; the
+    columns go sparsest first, so that most ANDs reach the pair early.
     """
+    order = sorted(((1 << c, col) for c, col in cols.items()), key=lambda e: e[1].bit_count())
     other = sum(1 << k for k in large)
     everyone = (1 << len(acts)) - 1
     for p in small:
         spare = acts[p].bit_count() - need
         if spare < 0:
             continue
-        held = sorted(
-            ((1 << c, cols[c]) for c in _bit_indices(acts[p])), key=lambda e: e[1].bit_count()
-        )
-        misses = [0] * (spare + 1)
+        held = [e for e in order if acts[p] & e[0]]
+        one = two = 0  # the rays that miss one of p's columns, and two
         for _, col in held:
-            miss = other & ~col
-            for t in range(spare, 0, -1):
-                misses[t] |= misses[t - 1] & miss
-            misses[0] |= miss
-        candidates = other & ~misses[spare]
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
+            miss = everyone ^ col
+            two |= one & miss
+            one |= miss
+        exact1, alive, free = one & ~two, other, []
+        for _, col in held:
+            witnesses = exact1 & ~col
+            if witnesses:  # a lone witness does not strike itself
+                alive &= col if witnesses & (witnesses - 1) else col | witnesses
+            else:
+                free.append(col)
+        if len(free) > spare:
+            misses = [0] * (spare + 1)
+            for col in free:
+                miss = alive & ~col
+                for t in range(spare, 0, -1):
+                    misses[t] |= misses[t - 1] & miss
+                misses[0] |= miss
+            alive &= ~misses[spare]
+        while alive:
+            low = alive & -alive
+            alive ^= low
             n = low.bit_length() - 1
             act, pair, holders = acts[n], 1 << p | low, everyone
             for bit, col in held:

@@ -513,14 +513,22 @@ def _walk_tables(
 
 
 def _steps(logic: ConcreteLogic) -> list[tuple[int, int, int]]:
-    """The logic's step table as (lower, atom, upper) triples: the atom is upper - lower."""
-    offsets, uppers = logic._step_table()
-    elements, index = logic.elements, logic.index
-    return [
-        (i, index[elements[u] ^ elements[i]], u)
-        for i in range(len(elements))
-        for u in uppers[offsets[i] : offsets[i + 1]]
-    ]
+    """The logic's step table as (lower, atom, upper) triples: the atom is upper - lower.
+
+    Built once per logic and kept on it, as ``_state_tables`` keeps its
+    kernel; every caller shares the one list and only reads it.
+    """
+    steps = getattr(logic, "_steps_cache", None)
+    if steps is None:
+        offsets, uppers = logic._step_table()
+        elements, index = logic.elements, logic.index
+        steps = [
+            (i, index[elements[u] ^ elements[i]], u)
+            for i in range(len(elements))
+            for u in uppers[offsets[i] : offsets[i + 1]]
+        ]
+        logic._steps_cache = steps  # type: ignore[attr-defined]
+    return steps
 
 
 def _first_step_failure(
@@ -777,11 +785,11 @@ def verify_state_monotonicity(
     are the atom steps, so only those are compared; ``checked`` is states
     passed, up to the first that falls, times comparable pairs.
     """
-    steps = [(low, up) for low, _, up in _steps(logic)]
+    steps = _steps(logic)
     falls = (
         k
         for k, s in enumerate(states)
-        if any(s.numerators[low] > s.numerators[up] for low, up in steps)
+        if any(s.numerators[low] > s.numerators[up] for low, _, up in steps)
     )
     passed = next(falls, len(states))
     return passed == len(states), passed * logic.comparable_count()

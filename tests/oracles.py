@@ -315,6 +315,24 @@ def basic_solution_vertices(hrep) -> set:
     return found
 
 
+def naive_adjacent_pairs(acts, small, large) -> list:
+    """Adjacent (small, large) pairs of one sweep step, in order over small x large.
+
+    ``acts[k]`` is ray k's active set as a bit mask.  Fukuda & Prodon
+    (1996), Prop. 7(c): two extreme rays of a pointed cone are adjacent
+    when no third ray's active set contains their common active set.  No
+    cardinality filter: every pair is tested against every ray.
+    """
+    return [
+        (p, n)
+        for p in small
+        for n in large
+        if not any(
+            k != p and k != n and acts[p] & acts[n] & ~act == 0 for k, act in enumerate(acts)
+        )
+    ]
+
+
 # -- naive relation scans, checked against the step-table kernel ---------------
 # These take plain element lists and never call ConcreteLogic's relation
 # methods or the closure under test.

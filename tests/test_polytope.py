@@ -4,10 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import boxlogic as bl
-from boxlogic import BoxWorldSpec
+from boxlogic import BoxWorldSpec, polytope
 from boxlogic.io import load_scenario
 
 import oracles
@@ -208,6 +208,72 @@ def test_nonlocal_vertex_count_matches_the_closed_form_with_binary_outcomes(m_a,
     hrep = bl.ns_polytope(BoxWorldSpec.from_sizes([2] * m_a, [2] * m_b))
     count = bl.enumerate_vertices(hrep).count("nondeterministic")
     assert count == oracles.binary_nonlocal_count(m_a, m_b)
+
+
+def sweep_against_the_adjacency_oracle(left, right) -> list:
+    """Sweep a shape, comparing the pairs of every cutting step, in order, with
+    the plain Prop. 7(c) scan; the adjacent pair count of each step."""
+    adjacent_pairs, counts = polytope._adjacent_pairs, []
+
+    def compared(acts, cols, small, large, need):
+        pairs = list(adjacent_pairs(acts, cols, small, large, need))
+        assert pairs == oracles.naive_adjacent_pairs(acts, small, large)
+        counts.append(len(pairs))
+        return iter(pairs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polytope, "_adjacent_pairs", compared)
+        bl.enumerate_vertices(bl.ns_polytope(BoxWorldSpec.from_sizes(left, right)))
+    return counts
+
+
+# the oracle costs O(pairs x rays) per step, so three_input_binary stays out
+@pytest.mark.parametrize(
+    "left, right", [([2, 2], [2, 2]), ([2, 2], [2, 3]), ([2, 3], [3]), ([2, 2], [2, 2, 2])], ids=str
+)
+def test_sweep_steps_match_the_adjacency_oracle(left, right):
+    assert sum(sweep_against_the_adjacency_oracle(left, right)) > 0
+
+
+# drawn shapes with at most the 24 table variables of [2,2]x[2,2,2]
+@settings(max_examples=12, deadline=5000)
+@given(
+    st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2),
+    st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3),
+)
+def test_drawn_sweep_steps_match_the_adjacency_oracle(left, right):
+    assume(sum(left) * sum(right) <= 24)
+    sweep_against_the_adjacency_oracle(left, right)
+
+
+def test_single_miss_witnesses_strike_before_the_holder_test():
+    # one step by hand; D = act(p) - act(ray) for p = ray 0
+    sets = [
+        {0, 1, 2, 3, 10},  # 0 small: p
+        {0, 1, 2, 6, 10},  # 1 small, D = {3}: a witness on p's own side
+        {0, 1, 3, 7, 10},  # 2 zero set, D = {2}: a witness on neither side
+        {1, 2, 3, 10},  # 3 large, D = {0}: the lone witness on column 0, adjacent to p
+        {2, 3, 8, 10},  # 4 large, D = {0, 1}: struck by ray 3
+        {0, 2, 3, 4, 10},  # 5 large, D = {1}: two witnesses on column 1,
+        {0, 2, 3, 5, 10},  # 6 large, D = {1}: so both are struck
+        {0, 1, 2, 8},  # 7 large, D = {3, 10}: struck by ray 1 only
+        {0, 1, 3, 9},  # 8 large, D = {2, 10}: struck by ray 2 only
+    ]
+    acts = [sum(1 << c for c in s) for s in sets]
+    cols = {c: sum(1 << k for k, s in enumerate(sets) if c in s) for c in range(11)}
+    large = [3, 4, 5, 6, 7, 8]
+    tested = []
+
+    class Read(list):
+        def __getitem__(self, k):
+            tested.append(k)
+            return super().__getitem__(k)
+
+    assert list(polytope._adjacent_pairs(Read(acts), cols, [0], large, 2)) == [(0, 3)]
+    # only ray 3 reaches the holder test, which reads its active set
+    assert set(tested) == {0, 3}
+    pairs = list(polytope._adjacent_pairs(acts, cols, [0, 1], large, 2))
+    assert pairs == oracles.naive_adjacent_pairs(acts, [0, 1], large)
 
 
 def test_unbounded_system_rejected():

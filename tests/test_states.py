@@ -12,7 +12,7 @@ from boxlogic import AtomId, LocalizedSpec, Side
 from boxlogic.io import canonical_json, pr_state_from_dict
 
 import oracles
-from conftest import CHSH, NS_SHAPES, THREE_INPUT
+from conftest import CHSH, NS_SHAPES, THREE_INPUT, TWO_BY_THREE
 from test_structural_checks import _point_added, _random_removal
 
 
@@ -749,6 +749,25 @@ def test_state_kernel_walks_the_steps_once():
     _, states, _ = walk_rows(logic, rows, dens)
     assert bl.verify_state_monotonicity(logic, [unchecked, *states])[0]
     assert len(walks) == 1
+
+
+def test_a_second_read_back_builds_no_step_triples(monkeypatch):
+    # the 47,232 (lower, atom, upper) triples of 3x3 are built once per logic,
+    # and the state kernel holds that same list
+    logic = bl.close_logic(TWO_BY_THREE)
+    ends = bl.point_state(logic, 0).numerators, bl.point_state(logic, 80).numerators
+    mixed = [a + b for a, b in zip(*ends)]
+    first = bl.pr_from_state(bl.LogicState(logic, 2, mixed))
+    assert len(bl.states._steps(logic)) == 47232
+    assert bl.states._steps(logic) is bl.states._state_tables(logic).steps
+
+    def refused():
+        raise AssertionError("the step triples were built again")
+
+    monkeypatch.setattr(logic, "_step_table", refused)
+    again = bl.pr_from_state(bl.LogicState(logic, 2, mixed))
+    assert again == first
+    assert bl.state_from_pr(logic, again).numerators == tuple(mixed)
 
 
 @pytest.mark.parametrize("build", [_point_added, functools.partial(_random_removal, CHSH, 0)])
