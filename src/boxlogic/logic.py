@@ -107,6 +107,7 @@ class ConcreteLogic:
         self.complement_map: tuple[Optional[int], ...] = tuple(
             self.index.get(e ^ self.full_mask) for e in self.elements
         )
+        self.complemented = None not in self.complement_map  # every element has its complement
         if atom_bits is None:
             atom_bits = _minimal_nonzero(self.elements)
         else:
@@ -224,7 +225,7 @@ class ConcreteLogic:
         self._check(i)
         self._check(j)
         s = self.elements[i] | self.elements[j]
-        if None not in self.complement_map:
+        if self.complemented:
             m = self.index.get(self._downset_union(s ^ self.full_mask))
             return None if m is None else self.complement_map[m]
         # tables that are not complement-closed: the least upper bound is the
@@ -327,7 +328,7 @@ class ConcreteLogic:
         inside it, the one of a step of m', and so is an atom if minimal, and
         not minimal if it strictly contains an atom.
         """
-        if None in self.complement_map:
+        if not self.complemented:
             missing = self.complement_map.index(None)
             raise TheoremViolation(f"element {missing} has no complement in the table")
         atoms = self.atom_bits
@@ -768,7 +769,7 @@ def is_lattice(logic: ConcreteLogic) -> Optional[bool]:
     n = len(logic.elements)
     if n > _LATTICE_SCAN_LIMIT:
         return None
-    if any(c is None for c in logic.complement_map):
+    if not logic.complemented:
         return None
     for i in range(n):
         for j in range(i, n):

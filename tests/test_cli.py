@@ -1,13 +1,17 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import boxlogic as bl
 from boxlogic.cli import main
@@ -200,6 +204,81 @@ def test_states_check_rejects_booleans(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "bool" in err
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        *(
+            (e, f"bad rational {e!r}: exponent past 4300 in magnitude")
+            for e in ("1e5000", "1e-5000", "1e10000000")
+        ),
+        (
+            "-1e4300",
+            "the residual of negative at {'a': 0, 'b': 0, 'alpha': 0, 'beta': 0} has too many digits to print",
+        ),
+        ("1.5e4300", "the residual of normalization at {'a': 0, 'b': 0} has too many digits to print"),
+    ],
+)
+def test_states_check_refuses_numbers_past_the_digit_limit(tmp_path, capsys, entry, message):
+    # an exponent past 4300 is refused before Fraction expands it; a residual
+    # past the digit limit names its equality instead of failing to print
+    single = tmp_path / "single_pair.json"
+    save_scenario(SINGLE_PAIR, single)
+    state_path = tmp_path / "huge.json"
+    state_path.write_text(json.dumps({"0,0": [[entry, "0"], ["0", "0"]]}))
+    code, out, err = run(capsys, ["states", "check", str(single), str(state_path)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# state file entries: exact numbers, exponents up to 10**7 in magnitude, and
+# values that are no exact number
+numbers = (
+    st.integers(-(10**4299), 10**4299)
+    | st.builds("{}/{}".format, st.integers(-9, 9), st.integers(-2, 9))
+    | st.decimals().map(str)
+    | st.builds("{}e{}".format, st.decimals(-99, 99, places=2), st.integers(-(10**7), 10**7))
+)
+junk = st.floats() | st.booleans() | st.none() | st.lists(st.integers(0, 1), max_size=2) | st.text(max_size=4)
+
+
+def state_files(spec):
+    """Blocks of the scenario's shape under all its input-pair keys, of numbers
+    or of numbers and junk; or blocks of other shapes under some of its keys
+    and one more; or no blocks at all."""
+    keys = [f"{a},{b}" for a in range(len(spec.left_sizes)) for b in range(len(spec.right_sizes))]
+
+    def shaped(entries):  # both scenarios drawn below have 2 x 2 blocks
+        block = st.lists(st.lists(entries, min_size=2, max_size=2), min_size=2, max_size=2)
+        return st.fixed_dictionaries(dict.fromkeys(keys, block))
+
+    entries = numbers | junk
+    block = st.lists(st.lists(entries, max_size=3), max_size=3) | entries
+    misshaped = st.fixed_dictionaries(
+        {keys[0]: block}, optional=dict.fromkeys([*keys[1:], "9,9"], block)
+    )
+    return shaped(numbers) | shaped(entries) | misshaped | st.lists(block, max_size=2) | entries
+
+
+@settings(
+    max_examples=150,
+    deadline=timedelta(seconds=1),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.sampled_from([SINGLE_PAIR, CHSH]).flatmap(lambda spec: st.tuples(st.just(spec), state_files(spec))))
+def test_states_check_exits_0_or_2_on_any_state_file(tmp_path, spec_and_blocks):
+    spec, blocks = spec_and_blocks
+    scenario, state_path = tmp_path / "scenario.json", tmp_path / "state.json"
+    save_scenario(spec, scenario)
+    state_path.write_text(json.dumps(blocks))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["states", "check", str(scenario), str(state_path)])
+    assert code in (0, 2)
+    if out.getvalue():
+        assert json.loads(out.getvalue())["valid"] is (code == 0)
+    else:
+        assert code == 2 and err.getvalue().startswith("error:")
 
 
 def test_export_json(chsh_file, capsys, tmp_path):

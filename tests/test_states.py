@@ -1,11 +1,13 @@
 import functools
 import math
+import operator
 import random
 import re
 from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boxlogic as bl
 from boxlogic import AtomId, LocalizedSpec, Side
@@ -385,22 +387,19 @@ def invalid_tables(spec):
 
 def walk_rows(logic, rows, dens):
     """The tables ``rows[k] / dens[k]`` through the kernel walk: the valid flag
-    of each row, the state of each valid one (None for the others) and how
-    many valid rows read back another table."""
-    valid, states, failures = [], [], 0
-    for row, bad in bl.states._walk_tables(logic, zip(rows, dens)):
+    of each row and the state of each valid one (None for the others)."""
+    valid, states = [], []
+    for row in bl.states._walk_tables(logic, zip(rows, dens)):
         valid.append(row is not None)
         states.append(
             bl.LogicState(logic, row.den, row.values(), additive_checked=True) if row else None
         )
-        failures += bad
-    return valid, states, failures
+    return valid, states
 
 
 def assert_kernel_matches_oracle(logic, rows, dens, prs):
     partitions = oracles.element_partitions(logic)
-    valid, states, failures = walk_rows(logic, rows, dens)
-    assert failures == 0
+    valid, states = walk_rows(logic, rows, dens)
     for k, pr in enumerate(prs):
         expect = oracles.state_oracle(logic, partitions, pr)
         assert valid[k] == expect["valid"]
@@ -442,7 +441,7 @@ def test_packed_rows_read_as_their_values(request, scenario):
     logic = request.getfixturevalue(f"{scenario}_logic")
     _, vertex_set = request.getfixturevalue(f"{scenario}_polytope")
     walk = bl.states._walk_tables(logic, ((row, vertex_set.scale) for row in vertex_set.scaled))
-    rows = [row for row, _ in walk]
+    rows = list(walk)
     supports = [row.support() for row in rows]
     assert supports == [bl.states._ValueRow(row.values(), row.den).support() for row in rows]
     # the two-valued vertices are the deterministic ones, each supported on the
@@ -511,7 +510,7 @@ def test_lane_width_reads_a_large_negative_entry(chsh_logic):
     # the only entry past 2**62 is negative: the walk refuses the row, and its
     # packed values are still exact, lane by lane, as P - Q
     big = [-(2**62) - 1, *small[1:]]
-    assert tables.round_trip(big, 1) == (None, False)
+    assert tables.round_trip(big, 1) is None
     lanes, p, q = tables.pack(big, 1)
     assert lanes.w == 128
     values = [a - b for a, b in zip(tables.unpack(p >> lanes.shift, lanes), tables.unpack(q >> lanes.shift, lanes))]
@@ -627,11 +626,14 @@ def test_read_back_refuses_values_that_are_no_table(chsh_logic, monkeypatch):
     negative = invalid_tables(CHSH)[1]
     with pytest.raises(bl.StateError, match=r"^state values leave \[0, 1\]$"):
         bl.pr_from_state(bl.state_from_pr(logic, negative, validate=False))
-    # in the walk, a row whose packed lanes disagree past E and W is read back
-    # from its unpacked values, which name the failure
-    monkeypatch.setattr(bl.states._StateTables, "valid", lambda self, lanes, p, q: True)
-    with pytest.raises(bl.StateError, match=r"^state does not assign 1 to the full set$"):
-        walk_rows(logic, [[0] * 16], [1])
+    # verify's walk reads nothing back: a row that passes validation and the
+    # steps reads back by construction (see check_table_rows)
+
+    def refused(self, values, den):
+        raise AssertionError("the walk read a row back")
+
+    monkeypatch.setattr(bl.states._StateTables, "read_back", refused)
+    assert bl.verify_scenario(CHSH, sample_count=10, logic=logic)["all_passed"]
 
 
 # -- the step certificate against every atomic partition ------------------------------
@@ -729,6 +731,77 @@ def test_constraint_rows_are_the_distinct_step_rows(request, scenario):
     assert len(rows) == len(expect) and set(rows) == expect
 
 
+def assert_accepted_rows_read_back(logic, rows, dens, prs):
+    """The facts the kernel's checks imply, on the tables ``rows[k] / dens[k]``
+    (the tables ``prs``).  C takes each atom to its own position and the full
+    set to a partition of it; every row the walk accepts has V(full) = den,
+    V = x at the atoms and 0 <= V <= den, and V is the oracle's."""
+    tables = bl.states._state_tables(logic)
+    natoms = len(logic.atom_bits)
+    assert [tables.canon[e] for e in logic.atom_indices] == [1 << k for k in range(natoms)]
+    parts = [logic.atom_bits[k] for k in range(natoms) if tables.canon[tables.full] >> k & 1]
+    assert sum(parts) == functools.reduce(operator.or_, parts) == logic.full_mask
+    partitions = oracles.element_partitions(logic)
+    walk = bl.states._walk_tables(logic, zip(rows, dens))
+    accepted = 0
+    for row, x, den, pr in zip(walk, rows, dens, prs, strict=True):
+        expect = oracles.state_oracle(logic, partitions, pr)
+        assert (row is not None) == expect["valid"]
+        if row is None:
+            continue
+        accepted += 1
+        values = row.values()
+        assert values[tables.full] == row.den
+        assert [Fraction(values[e], row.den) for e in logic.atom_indices] == [Fraction(v, den) for v in x]
+        assert 0 <= min(values) and max(values) <= row.den
+        assert [v * expect["den"] for v in values] == [v * row.den for v in expect["numerators"]]
+    return accepted
+
+
+def vertices_and_mixtures(hrep, vertex_set, count, seed, every=1):
+    """(rows, dens, tables) of every ``every``-th vertex and ``count`` seeded mixtures."""
+    vertices = bl.vertex_pr_states(hrep, vertex_set)
+    mixed, mixed_dens = zip(*bl.states._mixture_rows(vertex_set.scaled, vertex_set.scale, count, seed))
+    rows = [*vertex_set.scaled[::every], *mixed]
+    dens = [vertex_set.scale] * len(vertex_set.scaled[::every]) + list(mixed_dens)
+    return rows, dens, [*vertices[::every], *bl.sample_pr_states(vertices, count, seed)]
+
+
+@pytest.mark.parametrize("scenario,every", [("chsh", 1), ("three_input", 1), ("two_by_three", 29)])
+def test_accepted_rows_read_back_their_tables(request, scenario, every):
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    hrep, vertex_set = request.getfixturevalue(f"{scenario}_polytope")
+    rows, dens, prs = vertices_and_mixtures(hrep, vertex_set, 20, seed=25, every=every)
+    bad = invalid_tables(logic.spec)
+    bad_rows, bad_dens = zip(*(table_row(logic, pr) for pr in bad))
+    accepted = assert_accepted_rows_read_back(
+        logic, [*rows, *bad_rows], [*dens, *bad_dens], [*prs, *bad]
+    )
+    assert accepted == len(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def drawn_shape(left, right):
+    spec = bl.BoxWorldSpec.from_sizes(list(left), list(right))
+    hrep = bl.ns_polytope(spec)
+    return bl.close_logic(spec), hrep, bl.enumerate_vertices(hrep)
+
+
+side_sizes = st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2).map(tuple)
+# at most 36 sample points
+small_shapes = st.tuples(side_sizes, side_sizes).filter(
+    lambda lr: math.prod(lr[0]) * math.prod(lr[1]) <= 36
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_shapes, st.integers(0, 999))
+def test_accepted_rows_read_back_on_drawn_shapes(shape, seed):
+    logic, hrep, vertex_set = drawn_shape(*shape)
+    rows, dens, prs = vertices_and_mixtures(hrep, vertex_set, 10, seed)
+    assert assert_accepted_rows_read_back(logic, rows, dens, prs) == len(rows)
+
+
 def test_state_kernel_walks_the_steps_once():
     """The structural checks, the state section, the exports and the state
     readers of one logic all read the table of its one step walk."""
@@ -746,7 +819,7 @@ def test_state_kernel_walks_the_steps_once():
     unchecked = bl.LogicState(logic, 1, point.numerators)
     assert bl.pr_from_state(unchecked) == bl.pr_from_state(point)
     rows, dens = zip(table_row(logic, bl.PRState.uniform(CHSH)), table_row(logic, pr_box(CHSH)))
-    _, states, _ = walk_rows(logic, rows, dens)
+    _, states = walk_rows(logic, rows, dens)
     assert bl.verify_state_monotonicity(logic, [unchecked, *states])[0]
     assert len(walks) == 1
 
