@@ -85,7 +85,8 @@ def verify_scenario(
     Sections cover the table axioms, atomic coverage and its converse,
     order classification above atoms, one-box structure, the state
     correspondence round-trips on polytope vertices plus seeded random
-    mixtures, and order determination by vertex states.  Failures land in
+    mixtures, and order determination by the states of the sample points'
+    own deterministic tables.  Failures land in
     the report; nothing raises for a refuted claim.  A table that the state
     kernel refuses skips the state section, with the refusal as reason.
     """

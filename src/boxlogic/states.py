@@ -36,12 +36,14 @@ when the W lanes agree.  A failed W check unpacks V, to name the first
 failing step.  Nothing else is compared: a table that passes both reads
 back as x, with V(full) = den and 0 <= V <= den (see ``check_table_rows``).
 
-``check_table_rows``, the state section of a verification, walks its rows
-through the kernel one at a time and holds no value rows: the witnesses of
-the order-determination check read each valid row's lanes while it is
-alive.  Monotonicity needs no pass there: validation gives x >= 0 and the
-well-definedness check gives V(p | a) = V(p) + x(a) on every step (see
-``check_table_rows``).
+``check_table_rows``, the state section of a verification, walks its vertex
+and mixture rows through the kernel one at a time for validity and step
+additivity alone, and holds no value rows.  Order determination reads the
+sample points' own tables instead (``_order_from_points``): each point's
+deterministic table extends to that point's indicator, which witnesses
+every pair p not below q with the point in p - q.  Monotonicity needs no
+pass: validation gives x >= 0 and the well-definedness check gives
+V(p | a) = V(p) + x(a) on every step (see ``check_table_rows``).
 """
 
 from __future__ import annotations
@@ -66,11 +68,9 @@ RationalLike = Union[Fraction, int, str]
 # the seeded mixtures: at most this many vertices, each of integer weight 1.._MAX_WEIGHT
 _MAX_SUPPORT = 6
 _MAX_WEIGHT = 9
-# unwitnessed pairs that check_order_determining reports
+# unwitnessed pairs that the order check reports
 _FAILURE_LIMIT = 20
-# logics up to this many elements get check_order_determining's all-pairs scan
-_SCAN_LIMIT = 128
-# candidate pairs that check_order_determining tests per walk over uncertified rows
+# candidate pairs that the order check tests per walk over its value rows
 _PAIR_BLOCK = 1 << 18
 # a decimal exponent, refused past json's digit limit (4300) before Fraction expands it
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
@@ -266,8 +266,6 @@ class _Lanes:
     e_mask: int  # the E lanes
     w_mask: int  # the W lanes
     shift: int  # V starts here: P >> shift is V
-    ones: int  # 1 in every lane of V
-    guard: int  # the top bit of every lane of V
 
 
 class _StateTables:
@@ -334,7 +332,6 @@ class _StateTables:
                 lanes[::step] = column
                 return int.from_bytes(lanes, "little")
 
-            ones = spread(bytes([1]) * len(self.canon))
             self._lanes[w] = _Lanes(
                 w,
                 tuple(map(spread, self._plus)),
@@ -343,8 +340,6 @@ class _StateTables:
                 (1 << self._nequal * w) - 1,
                 ((1 << self._nconstraints * w) - 1) << self._nequal * w,
                 len(self._rhs) * w,
-                ones,
-                ones << w - 1,
             )
         return self._lanes[w]
 
@@ -386,17 +381,17 @@ class _StateTables:
             )
         return values
 
-    def round_trip(self, x: Sequence[int], den: int) -> Optional["_PackedRow"]:
-        """One table through validation and extension: its packed element values,
-        or None when it is not a table.  A failing step raises, as in ``extend``."""
+    def round_trip(self, x: Sequence[int], den: int) -> bool:
+        """Whether one table passes validation; its values are then checked to add
+        on every atom step, and a failing step raises, as in ``extend``."""
         if min(x) < 0:
-            return None
+            return False
         lanes, p, q = packed = self.pack(x, den)
         if not self.valid(lanes, p, q):
-            return None
+            return False
         if (p ^ q) & lanes.w_mask:
             self.extend(x, den, packed)
-        return _PackedRow(self, lanes, p >> lanes.shift, den)
+        return True
 
     def unpack(self, packed: int, lanes: _Lanes) -> list[int]:
         """The lanes of packed element values, one int per element."""
@@ -461,6 +456,8 @@ def state_from_pr(logic: Logic, pr: PRState, *, validate: bool = True) -> LogicS
     WellDefinednessViolation.  Passing that check makes the state
     additive, as in ``verify_state_additivity``.
     """
+    if pr.spec != logic.spec:
+        raise StateError("a table of another scenario")
     tables = _state_tables(logic)
     fracs = [pr.atom_value(aid) for aid in logic.atom_ids]
     den = lcm(*(f.denominator for f in fracs))
@@ -490,14 +487,13 @@ def pr_from_state(state: LogicState) -> PRState:
     return tables.table(tables.read_back(state.numerators, state.denominator), state.denominator)
 
 
-def _walk_tables(
-    logic: Logic, rows: Iterable[tuple[Sequence[int], int]]
-) -> Iterator[Optional["_PackedRow"]]:
-    """Validate and extend (row, den) tables one at a time.
+def _walk_tables(logic: Logic, rows: Iterable[tuple[Sequence[int], int]]) -> Iterator[bool]:
+    """Validate (row, den) tables one at a time, in lowest terms, and check their
+    values on every atom step.
 
-    Yields per table its element values as a ``_PackedRow`` in lowest
-    terms, or None when it is not a table.  A table is built only when the
-    one before it has been consumed.
+    Yields per table whether it is one; a failing step raises, as in
+    ``extend``.  A table is built only when the one before it has been
+    consumed.
     """
     tables = _state_tables(logic)
     for row, den in rows:
@@ -564,6 +560,8 @@ def convex_combination(
     if any(w < 0 for w in ws) or sum(ws) != 1:
         raise StateError("weights must be non-negative and sum to one")
     spec = states[0].spec
+    if any(s.spec != spec for s in states):
+        raise StateError("tables of different scenarios")
     return PRState.from_function(
         spec,
         lambda a, b, alpha, beta: sum(
@@ -625,46 +623,20 @@ class OrderDeterminingReport:
     comparable_pairs_skipped: int
     noncomparable_pairs: int
     failures: list[dict]
-    strategy: str
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 @dataclass(frozen=True)
-class _PackedRow:
-    """A valid table's element values, packed by the kernel."""
-
-    tables: _StateTables
-    lanes: _Lanes
-    packed: int
-    den: int
-
-    def values(self) -> list[int]:
-        return self.tables.unpack(self.packed, self.lanes)
-
-    def support(self) -> Optional[int]:
-        """The mask of the nonzero elements when every value is 0 or den, else None."""
-        lanes, values = self.lanes, self.packed
-        low = lanes.guard - lanes.ones  # 2**(w-1) - 1 in every lane: adds carry into the guard
-        nonzero = values + low & lanes.guard
-        if nonzero & ((values ^ self.den * lanes.ones) + low):
-            return None
-        flags = (nonzero >> lanes.w - 1).to_bytes(len(self.tables.canon) * lanes.w // 8, "little")
-        return _flag_mask(flags[:: lanes.w // 8])
-
-
-@dataclass(frozen=True)
 class _ValueRow:
-    """A state's element values, as a ``_PackedRow`` is read."""
+    """A state's element values over its denominator."""
 
     numerators: Sequence[int]
     den: int
 
-    def values(self) -> Sequence[int]:
-        return self.numerators
-
     def support(self) -> Optional[int]:
+        """The mask of the nonzero elements when every value is 0 or den, else None."""
         if not {0, self.den}.issuperset(self.numerators):
             return None
         return _flag_mask(map(bool, self.numerators))
@@ -675,73 +647,58 @@ def _below(values: Sequence[int]) -> dict[int, int]:
     return {v: _flag_mask(map(v.__gt__, values)) for v in set(values)}
 
 
-class _OrderWitnesses:
-    """What ``check_order_determining`` gathers in one pass over value rows.
+def _order_report(
+    logic: ConcreteLogic, rows: Callable[[], Iterable[_ValueRow]]
+) -> OrderDeterminingReport:
+    """For every pair p not below q, a value row with value(p) > value(q).
 
-    Up to ``_SCAN_LIMIT`` elements, for each p the mask of the q with
-    value(p) > value(q) in some state; past it, the mask of certified
-    sample points, from the rows whose values are all 0 or den.
+    ``rows`` walks the value rows.  The first walk certifies sample points:
+    a point is certified by a row that equals its indicator on every
+    element (1 on the elements containing it, 0 elsewhere), and that row
+    witnesses every pair whose difference p minus q holds the point.  Only
+    the pairs whose difference lies inside the uncertified points are left;
+    they are tested ``_PAIR_BLOCK`` at a time, each block against one more
+    walk, until the first ``_FAILURE_LIMIT`` unwitnessed pairs are found,
+    in ascending (p, q) order.
     """
-
-    def __init__(self, logic: ConcreteLogic):
-        n = len(logic.elements)
-        self.logic, self.states, self.certified = logic, 0, 0
-        self.witnessed = [0] * n if n <= _SCAN_LIMIT else None
-        self.points_by_column: dict[int, int] = {}
-        if self.witnessed is None:
-            for x in range(logic.ground_size):
-                col = logic.containing(1 << x)
-                self.points_by_column[col] = self.points_by_column.get(col, 0) | 1 << x
-
-    def add(self, row: Union[_PackedRow, _ValueRow]) -> None:
-        self.states += 1
-        if self.witnessed is not None:
-            values = row.values()
-            below = _below(values)
-            for p, v in enumerate(values):
-                self.witnessed[p] |= below[v]
-        elif (support := row.support()) is not None:
+    points_by_column: dict[int, int] = {}
+    for x in range(logic.ground_size):
+        col = logic.containing(1 << x)
+        points_by_column[col] = points_by_column.get(col, 0) | 1 << x
+    states = certified = 0
+    for row in rows():
+        states += 1
+        if (support := row.support()) is not None:
             # the support is the element-membership mask of the points it certifies
-            self.certified |= self.points_by_column.get(support, 0)
+            certified |= points_by_column.get(support, 0)
+    candidates = (
+        (p, q)
+        for p, bits in enumerate(logic.elements)
+        # q containing every certified point of p: no certificate applies
+        for q in _bit_indices(logic.containing(bits & certified) & ~logic.containing(bits))
+    )
+    failures: list[dict] = []
+    # with every point certified, each q containing p's points contains p
+    while (
+        certified != logic.full_mask
+        and len(failures) < _FAILURE_LIMIT
+        and (block := list(islice(candidates, _PAIR_BLOCK)))
+    ):
+        witnessed = dict.fromkeys((p for p, _ in block), 0)
+        for row in rows():
+            values = row.numerators
+            below = _below(values)
+            for p in witnessed:
+                witnessed[p] |= below[values[p]]
+        missed = [(p, q) for p, q in block if not witnessed[p] >> q & 1]
+        failures += [{"p": p, "q": q} for p, q in missed[: _FAILURE_LIMIT - len(failures)]]
+    n, comparable = len(logic.elements), logic.comparable_count()
+    return OrderDeterminingReport(not failures, states, comparable, n * n - comparable, failures)
 
-    def report(
-        self, rows_again: Callable[[], Iterable[Union[_PackedRow, _ValueRow]]]
-    ) -> OrderDeterminingReport:
-        """The report; ``rows_again`` walks the same rows once more, in blocks of
-        unwitnessed candidate pairs, where some sample point is not certified."""
-        logic = self.logic
-        n, comparable = len(logic.elements), logic.comparable_count()
-        full_scan = self.witnessed is not None
-        candidates = (
-            (p, q)
-            for p, bits in enumerate(logic.elements)
-            # q containing every certified point of p: no certificate applies
-            for q in _bit_indices(logic.containing(bits & self.certified) & ~logic.containing(bits))
-        )
-        failures: list[dict] = []
-        # with every point certified, each q containing p's points contains p
-        while (
-            self.certified != logic.full_mask
-            and len(failures) < _FAILURE_LIMIT
-            and (block := list(islice(candidates, _PAIR_BLOCK)))
-        ):
-            if full_scan:
-                witnessed = self.witnessed
-            else:
-                witnessed = dict.fromkeys((p for p, _ in block), 0)
-                for row in rows_again():
-                    values = row.values()
-                    below = _below(values)
-                    for p in witnessed:
-                        witnessed[p] |= below[values[p]]
-            missed = [(p, q) for p, q in block if not witnessed[p] >> q & 1]
-            failures += [{"p": p, "q": q} for p, q in missed[: _FAILURE_LIMIT - len(failures)]]
-        strategy = (
-            "full scan" if full_scan else "point-state witnesses, verified against stored values"
-        )
-        return OrderDeterminingReport(
-            not failures, self.states, comparable, n * n - comparable, failures, strategy
-        )
+
+def _same_logic(logic: ConcreteLogic, states: Sequence[LogicState]) -> None:
+    if any(s.logic is not logic for s in states):
+        raise StateError("a state of another logic")
 
 
 def check_order_determining(
@@ -749,21 +706,35 @@ def check_order_determining(
 ) -> OrderDeterminingReport:
     """For every pair p not below q, find a state with value(p) > value(q).
 
-    Pairs with p below q are skipped.  On tables up to ``_SCAN_LIMIT``
-    elements every other pair is scanned against all states.  Larger
-    tables first certify sample points: a point is certified when some
-    state equals that point's indicator exactly on every element (1 on
-    the elements containing it, 0 elsewhere).  That state witnesses every
-    pair whose difference p minus q holds the point, so only the pairs
-    whose difference lies inside the uncertified points go to the
-    all-states scan.  Both paths report the first ``_FAILURE_LIMIT``
-    unwitnessed pairs in ascending (p, q) order.
+    Pairs with p below q are skipped.  A state that is a sample point's
+    indicator witnesses at once every pair whose difference holds the
+    point; the other pairs are scanned against all states (see
+    ``_order_report``).
     """
-    witnesses = _OrderWitnesses(logic)
+    _same_logic(logic, states)
     rows = [_ValueRow(s.numerators, s.denominator) for s in states]
-    for row in rows:
-        witnesses.add(row)
-    return witnesses.report(lambda: rows)
+    return _order_report(logic, lambda: rows)
+
+
+def _point_rows(logic: Logic) -> Iterator[_ValueRow]:
+    """The value rows of the sample points' own tables, through the kernel walk.
+
+    Point w's deterministic table is 1 on the atoms holding w and 0
+    elsewhere, over denominator 1.  On a table whose atom steps certify it,
+    its state is w's indicator, so it certifies w.  A table that the
+    kernel refuses gives no row.
+    """
+    tables = _state_tables(logic)
+    points = [[a >> w & 1 for a in logic.atom_bits] for w in range(logic.ground_size)]
+    for x, valid in zip(points, _walk_tables(logic, ((x, 1) for x in points))):
+        if valid:
+            yield _ValueRow(tables.extend(x, 1), 1)
+
+
+def _order_from_points(logic: Logic) -> OrderDeterminingReport:
+    """``check_order_determining`` on the states of the sample points' own tables;
+    where a point stays uncertified, its pairs are scanned on those tables again."""
+    return _order_report(logic, lambda: _point_rows(logic))
 
 
 def verify_state_monotonicity(
@@ -777,6 +748,7 @@ def verify_state_monotonicity(
     are the atom steps, so only those are compared; ``checked`` is states
     passed, up to the first that falls, times comparable pairs.
     """
+    _same_logic(logic, states)
     steps = _steps(logic)
     falls = (
         k
@@ -793,14 +765,13 @@ def verify_state_monotonicity(
 def check_table_rows(
     logic: Logic, rows: Sequence[Sequence[int]], scale: int, sample_count: int, seed: int
 ) -> dict:
-    """The state section of a verification, in one pass over the rows.
+    """The state section of a verification.
 
     ``rows`` are the polytope's vertices as integers over ``scale``; the
     ``sample_count`` seeded mixtures of ``sample_pr_states`` follow them
-    through the same kernel walk.  While a valid vertex row is alive it is
-    offered to the witnesses of ``check_order_determining``; only that
-    check walks the vertices a second time, and only when some sample
-    point stays uncertified.
+    through one kernel walk, which checks validity and step additivity and
+    holds no value rows.  Order determination reads the sample points' own
+    tables, not these rows (``_order_from_points``).
 
     Monotonicity is counted, not scanned: ``checked`` is the valid vertex
     rows times the comparable pairs.  Each such row passed two checks:
@@ -820,25 +791,14 @@ def check_table_rows(
     den - V(u') <= den (``test_accepted_rows_read_back_their_tables``).
     ``read_back`` checks these, for arbitrary states.
     """
-    witnesses = _OrderWitnesses(logic)
-
-    def vertices():
-        return _walk_tables(logic, ((row, scale) for row in rows))
-
-    invalid = 0
-    for row in vertices():
-        invalid += row is None
-        if row is not None:
-            witnesses.add(row)
+    valid = sum(_walk_tables(logic, ((row, scale) for row in rows)))
     mixtures = _walk_tables(logic, _mixture_rows(rows, scale, sample_count, seed))
-    invalid += sum(row is None for row in mixtures)
+    invalid = len(rows) - valid + sum(not ok for ok in mixtures)
     return {
         "vertex_states": len(rows),
         "random_states": sample_count,
         "all_tables_valid": not invalid,
         "round_trip_failures": 0,
-        "monotonicity": {"ok": True, "checked": witnesses.states * logic.comparable_count()},
-        "order_determining": witnesses.report(
-            lambda: (row for row in vertices() if row is not None)
-        ).to_dict(),
+        "monotonicity": {"ok": True, "checked": valid * logic.comparable_count()},
+        "order_determining": _order_from_points(logic).to_dict(),
     }

@@ -247,10 +247,11 @@ def test_verify_scenario_reports_an_invalid_table(chsh_logic, invalid_first_vert
     assert report["all_passed"] is False
     assert section["vertex_states"] == 24
     assert section["round_trip_failures"] == 0
-    # the invalid row is left out of the state checks
+    # the invalid row is left out of the monotonicity count; order determination
+    # reads the sample points' own tables, not the vertices
     pairs = len(list(chsh_logic.comparable_pairs()))
     assert section["monotonicity"] == {"ok": True, "checked": 23 * pairs}
-    assert section["order_determining"]["states_used"] == 23
+    assert section["order_determining"]["ok"] is True
 
 
 def test_sampling_is_deterministic(chsh_vertex_states):
@@ -385,15 +386,22 @@ def invalid_tables(spec):
     ]
 
 
+def extended(logic, row, den):
+    """The table ``row / den`` in lowest terms and its element values, read through
+    the kernel's ``extend``."""
+    x, den = bl.states._reduced(row, den)
+    return x, den, bl.states._state_tables(logic).extend(x, den)
+
+
 def walk_rows(logic, rows, dens):
     """The tables ``rows[k] / dens[k]`` through the kernel walk: the valid flag
     of each row and the state of each valid one (None for the others)."""
     valid, states = [], []
-    for row in bl.states._walk_tables(logic, zip(rows, dens)):
-        valid.append(row is not None)
-        states.append(
-            bl.LogicState(logic, row.den, row.values(), additive_checked=True) if row else None
-        )
+    for row, den, ok in zip(rows, dens, bl.states._walk_tables(logic, zip(rows, dens))):
+        valid.append(ok)
+        if ok:
+            _, den, values = extended(logic, row, den)
+        states.append(bl.LogicState(logic, den, values, additive_checked=True) if ok else None)
     return valid, states
 
 
@@ -434,22 +442,6 @@ def test_kernel_matches_oracle_on_vertices_and_mixtures(request, scenario):
     dens = [vertex_set.scale] * len(vertex_set) + list(dens)
     valid, _ = assert_kernel_matches_oracle(logic, rows, dens, vertices + mixtures)
     assert all(valid)
-
-
-@pytest.mark.parametrize("scenario", ["chsh", "three_input"])
-def test_packed_rows_read_as_their_values(request, scenario):
-    logic = request.getfixturevalue(f"{scenario}_logic")
-    _, vertex_set = request.getfixturevalue(f"{scenario}_polytope")
-    walk = bl.states._walk_tables(logic, ((row, vertex_set.scale) for row in vertex_set.scaled))
-    rows = list(walk)
-    supports = [row.support() for row in rows]
-    assert supports == [bl.states._ValueRow(row.values(), row.den).support() for row in rows]
-    # the two-valued vertices are the deterministic ones, each supported on the
-    # elements that hold its sample point
-    assert sum(s is not None for s in supports) == vertex_set.count("deterministic")
-    assert {s for s in supports if s is not None} == {
-        logic.containing(1 << x) for x in range(logic.ground_size)
-    }
 
 
 def test_kernel_matches_oracle_past_int64(chsh_logic):
@@ -510,7 +502,7 @@ def test_lane_width_reads_a_large_negative_entry(chsh_logic):
     # the only entry past 2**62 is negative: the walk refuses the row, and its
     # packed values are still exact, lane by lane, as P - Q
     big = [-(2**62) - 1, *small[1:]]
-    assert tables.round_trip(big, 1) is None
+    assert tables.round_trip(big, 1) is False
     lanes, p, q = tables.pack(big, 1)
     assert lanes.w == 128
     values = [a - b for a, b in zip(tables.unpack(p >> lanes.shift, lanes), tables.unpack(q >> lanes.shift, lanes))]
@@ -539,9 +531,10 @@ def test_one_row_chunks_give_the_same_report(request, monkeypatch, scenario):
     default = canonical_json(bl.verify_scenario(logic.spec, seed=5, logic=logic))
     seen = walked_tables(monkeypatch)
     assert canonical_json(bl.verify_scenario(logic.spec, seed=5, logic=logic)) == default
-    # each vertex, then each mixture, once, reduced to lowest terms
+    # each vertex, then each mixture, then each sample point's table, once, reduced
+    # to lowest terms
     vertices = {"chsh": 24, "three_input": 1408}[scenario]
-    assert len(seen) == vertices + 100
+    assert len(seen) == vertices + 100 + logic.ground_size
     assert all(math.gcd(den, *row) == 1 for row, den in seen)
 
 
@@ -555,7 +548,6 @@ def test_an_invalid_vertex_keeps_its_place_past_the_first_chunk(
     assert seen[k] == ([0] * 16, 1)
     assert (section["all_tables_valid"], section["round_trip_failures"]) == (False, 0)
     assert section["monotonicity"] == {"ok": True, "checked": 23 * chsh_logic.comparable_count()}
-    assert section["order_determining"]["states_used"] == 23
 
 
 def test_an_invalid_mixture_fails_the_section(chsh_logic, monkeypatch):
@@ -569,7 +561,7 @@ def test_an_invalid_mixture_fails_the_section(chsh_logic, monkeypatch):
     report = bl.verify_scenario(CHSH, sample_count=10, logic=chsh_logic)
     section = report["state_correspondence"]
     assert (section["all_tables_valid"], section["round_trip_failures"]) == (False, 0)
-    assert section["order_determining"]["states_used"] == 24
+    assert section["monotonicity"] == {"ok": True, "checked": 24 * chsh_logic.comparable_count()}
     assert report["all_passed"] is False
 
 
@@ -744,17 +736,17 @@ def assert_accepted_rows_read_back(logic, rows, dens, prs):
     partitions = oracles.element_partitions(logic)
     walk = bl.states._walk_tables(logic, zip(rows, dens))
     accepted = 0
-    for row, x, den, pr in zip(walk, rows, dens, prs, strict=True):
+    for ok, x, den, pr in zip(walk, rows, dens, prs, strict=True):
         expect = oracles.state_oracle(logic, partitions, pr)
-        assert (row is not None) == expect["valid"]
-        if row is None:
+        assert ok == expect["valid"]
+        if not ok:
             continue
         accepted += 1
-        values = row.values()
-        assert values[tables.full] == row.den
-        assert [Fraction(values[e], row.den) for e in logic.atom_indices] == [Fraction(v, den) for v in x]
-        assert 0 <= min(values) and max(values) <= row.den
-        assert [v * expect["den"] for v in values] == [v * row.den for v in expect["numerators"]]
+        _, low, values = extended(logic, x, den)
+        assert values[tables.full] == low
+        assert [Fraction(values[e], low) for e in logic.atom_indices] == [Fraction(v, den) for v in x]
+        assert 0 <= min(values) and max(values) <= low
+        assert [v * expect["den"] for v in values] == [v * low for v in expect["numerators"]]
     return accepted
 
 
@@ -1000,19 +992,17 @@ def test_order_not_determined_by_uniform_state_alone(chsh_logic):
     assert report.failures
 
 
-def order_report(logic, states, scan_limit):
-    """``check_order_determining`` with the full scan up to ``scan_limit`` elements."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(bl.states, "_SCAN_LIMIT", scan_limit)
-        return bl.check_order_determining(logic, states)
+def unwitnessed(logic, rows):
+    """The failures an order report lists for the value rows, found by the naive scan."""
+    pairs = oracles.naive_unwitnessed(logic.elements, rows)
+    return [{"p": p, "q": q} for p, q in pairs[: bl.states._FAILURE_LIMIT]]
 
 
 def test_vectorized_path_matches_scan(chsh_logic, chsh_vertex_states):
     states = [bl.state_from_pr(chsh_logic, pr) for pr in chsh_vertex_states]
-    scan = order_report(chsh_logic, states, 1000)
-    fast = order_report(chsh_logic, states, 10)
-    assert scan.ok and fast.ok
-    assert scan.noncomparable_pairs == fast.noncomparable_pairs
+    report = bl.check_order_determining(chsh_logic, states)
+    assert report.ok
+    assert report.failures == unwitnessed(chsh_logic, [s.numerators for s in states]) == []
 
 
 @pytest.fixture(scope="module")
@@ -1037,7 +1027,6 @@ def _altered_deterministic(logic, states, classes):
 def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex_states, case):
     logic = three_input_logic
     states, classes = three_input_vertex_states
-    assert len(logic.elements) == 248  # above the default scan limit of 128
     if case == "uniform":
         chosen = [bl.state_from_pr(logic, bl.PRState.uniform(THREE_INPUT))]
     elif case == "nonlocal_vertices":
@@ -1049,25 +1038,18 @@ def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex
         # half of the points certified, the rest left to the scan
         chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
         chosen.append(_altered_deterministic(logic, states, classes))
-        witnesses = bl.states._OrderWitnesses(logic)
-        for s in chosen:
-            witnesses.add(bl.states._ValueRow(s.numerators, s.denominator))
-        assert witnesses.certified.bit_count() == 32
-    fast = bl.check_order_determining(logic, chosen)
-    scan = order_report(logic, chosen, 1000)
-    assert fast.strategy != scan.strategy
-    for report in (fast, scan):
-        assert report.failures == sorted(report.failures, key=lambda f: (f["p"], f["q"]))
-    fast_dict, scan_dict = fast.to_dict(), scan.to_dict()
-    del fast_dict["strategy"], scan_dict["strategy"]
-    assert fast_dict == scan_dict
-    assert fast.ok == (case == "nonlocal_vertices")
+        columns = {logic.containing(1 << x) for x in range(logic.ground_size)}
+        supports = [bl.states._ValueRow(s.numerators, s.denominator).support() for s in chosen]
+        assert sum(support in columns for support in supports) == 32
+    report = bl.check_order_determining(logic, chosen)
+    assert report.failures == unwitnessed(logic, [s.numerators for s in chosen])
+    assert report.ok == (case == "nonlocal_vertices")
 
 
 @pytest.mark.parametrize("case", ["chsh_uniform", "chsh_vertices", "three_input_half"])
 def test_order_failures_match_the_naive_pairs(request, case):
     if case == "three_input_half":
-        # past the full-scan limit: half of the points certified, the rest scanned
+        # half of the points certified, the rest scanned
         logic = request.getfixturevalue("three_input_logic")
         states, classes = request.getfixturevalue("three_input_vertex_states")
         chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
@@ -1101,28 +1083,109 @@ def test_candidate_pairs_in_small_blocks_give_the_same_failures(
     states, classes = three_input_vertex_states
     chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
     chosen.append(_altered_deterministic(logic, states, classes))
-    expect = [order_report(logic, chosen, limit) for limit in (128, 1000)]
-    assert [len(report.failures) for report in expect] == [bl.states._FAILURE_LIMIT] * 2
+    expect = bl.check_order_determining(logic, chosen)
+    assert expect.failures == unwitnessed(logic, [s.numerators for s in chosen])
+    assert len(expect.failures) == bl.states._FAILURE_LIMIT
     monkeypatch.setattr(bl.states, "_PAIR_BLOCK", 7)
-    got = [order_report(logic, chosen, limit) for limit in (128, 1000)]
-    assert got == expect
+    assert bl.check_order_determining(logic, chosen) == expect
 
 
-def test_verify_walks_the_vertices_again_for_an_uncertified_point(
-    three_input_logic, three_input_vertex_states, monkeypatch, invalid_vertex
-):
-    # with every other deterministic vertex made invalid, half of the sample points
-    # are certified by no state, so the order check walks the vertex rows again
-    states, classes = three_input_vertex_states
-    dropped = [k for k, cls in enumerate(classes) if cls == "deterministic"][::2]
-    invalid_vertex(*dropped)
-    kept = [s for k, s in enumerate(states) if k not in dropped]
-    scan = order_report(three_input_logic, kept, 1000)
-    expect = {**scan.to_dict(), "strategy": "point-state witnesses, verified against stored values"}
+def assert_order_on_point_states(logic, report):
+    """``report`` is the order check on the states of ``deterministic_points``'
+    tables, and the sample points' own tables, walked by the kernel, extend to
+    the points' indicators."""
+    spec = logic.spec
+    states = [
+        bl.state_from_pr(logic, bl.PRState.deterministic(spec, xs, ys))
+        for xs, ys in bl.deterministic_points(spec)
+    ]
+    assert report == bl.check_order_determining(logic, states).to_dict()
+    assert report["states_used"] == logic.ground_size
+    supports = [row.support() for row in bl.states._point_rows(logic)]
+    assert supports == [logic.containing(1 << x) for x in range(logic.ground_size)]
+
+
+@pytest.mark.parametrize("scenario", ["single_pair", "chsh", "three_input", "two_by_three"])
+def test_verify_determines_the_order_on_the_point_states(request, scenario):
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    report = bl.verify_scenario(logic.spec, sample_count=0, logic=logic)
+    assert_order_on_point_states(logic, report["state_correspondence"]["order_determining"])
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_shapes)
+def test_order_on_the_point_states_of_drawn_shapes(shape):
+    logic, _, vertex_set = drawn_shape(*shape)
+    section = bl.states.check_table_rows(logic, vertex_set.scaled, vertex_set.scale, 0, 0)
+    assert_order_on_point_states(logic, section["order_determining"])
+
+
+@pytest.mark.parametrize("damaged", [False, True], ids=["intact", "damaged"])
+def test_an_uncertified_point_walks_the_point_tables_again(chsh_logic, monkeypatch, damaged):
+    # point 1's row certifies nothing, so the pairs whose difference is that point
+    # alone go to the fallback, which walks the point tables once more; intact, that
+    # row witnesses them there, and damaged to all zeros it witnesses nothing.  (On
+    # three binary inputs no difference is a single point, and nothing is left.)
+    logic = chsh_logic
+    table, column = [a >> 1 & 1 for a in logic.atom_bits], logic.containing(1 << 1)
+    support, extend = bl.states._ValueRow.support, bl.states._StateTables.extend
+
+    def uncertified(self):
+        found = support(self)
+        return None if found == column else found
+
+    def extend_damaged(self, x, den, packed=None):
+        values = extend(self, x, den, packed)
+        return [0] * len(values) if list(x) == table else values
+
+    monkeypatch.setattr(bl.states._ValueRow, "support", uncertified)
+    if damaged:
+        monkeypatch.setattr(bl.states._StateTables, "extend", extend_damaged)
     seen = walked_tables(monkeypatch)
-    section = bl.verify_scenario(THREE_INPUT, sample_count=0, logic=three_input_logic)
-    assert section["state_correspondence"]["order_determining"] == expect
-    assert len(seen) == 2 * 1408
+    report = bl.states._order_from_points(logic)
+    assert len(seen) == 2 * logic.ground_size
+    rows = [row.numerators for row in bl.states._point_rows(logic)]
+    assert report.failures == unwitnessed(logic, rows)
+    assert report.ok is not damaged
+    assert report.states_used == logic.ground_size
+
+
+# -- states and tables of another scenario ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def logic_pairs(chsh_logic):
+    """CHSH against [2,2,2]x[2,2], each way round."""
+    other = bl.close_logic(bl.BoxWorldSpec.from_sizes([2, 2, 2], [2, 2]))
+    return [(chsh_logic, other), (other, chsh_logic)]
+
+
+def test_order_check_refuses_a_state_of_another_logic(logic_pairs):
+    for logic, other in logic_pairs:
+        with pytest.raises(bl.StateError, match="^a state of another logic$"):
+            bl.check_order_determining(logic, [bl.point_state(logic, 0), bl.point_state(other, 3)])
+
+
+def test_monotonicity_refuses_a_state_of_another_logic(logic_pairs):
+    # the CHSH logic would read the larger logic's point state as a falling one
+    for logic, other in logic_pairs:
+        with pytest.raises(bl.StateError, match="^a state of another logic$"):
+            bl.verify_state_monotonicity(logic, [bl.point_state(other, 3)])
+
+
+def test_state_from_pr_refuses_a_table_of_another_scenario(logic_pairs):
+    # the larger logic's atoms would read past the CHSH table, and the CHSH logic
+    # would read the first 16 entries of the larger table as its own
+    for logic, other in logic_pairs:
+        with pytest.raises(bl.StateError, match="^a table of another scenario$"):
+            bl.state_from_pr(logic, bl.PRState.uniform(other.spec))
+
+
+def test_convex_combination_refuses_tables_of_different_scenarios(logic_pairs):
+    for logic, other in logic_pairs:
+        tables = [bl.PRState.uniform(logic.spec), bl.PRState.uniform(other.spec)]
+        with pytest.raises(bl.StateError, match="^tables of different scenarios$"):
+            bl.convex_combination(tables, [Fraction(1, 2)] * 2)
 
 
 # -- monotonicity and additivity against all-pairs scans ------------------------------
@@ -1214,7 +1277,6 @@ def test_order_determination_skips_the_element_walk_when_every_point_is_certifie
     monkeypatch, three_input_logic, three_input_vertex_states
 ):
     logic, (states, _) = three_input_logic, three_input_vertex_states
-    assert len(logic.elements) > 128  # past the full-scan limit
     logic.comparable_count()
     containing, masks = logic.containing, []
     monkeypatch.setattr(logic, "containing", lambda bits: masks.append(bits) or containing(bits))
