@@ -16,25 +16,28 @@ per logic:
   E x == den * rhs;
 - C, the incidence of the lexicographically least atomic partitions: the
   element values are V = C x.  Into each nonzero element u, the step
-  p -> u whose atom a comes first gives C(u) = C(p) + e_a;
-- W, the distinct rows C(p) + e_a - C(p | a) over the atom steps
+  p -> u whose atom a comes first gives C(u) = C(p) + e_a, and ``values``
+  sums V along these first steps;
+- W, the distinct nonzero rows C(p) + e_a - C(p | a) over the atom steps
   p -> p | a: V is well defined when W x == 0.
 
-Every entry is 0, 1 or -1, so each map splits into a positive and a
-negative part, and each table is packed into two Python ints, one lane of
-w bits per row of the maps: P = sum(x_a * plus_a), with plus_a atom a's
-column of the positive parts and of C, and Q = sum(x_a * minus_a) +
-den * rhs, with minus_a its column of the negative parts and rhs the
-right-hand sides.  A row with a negative entry is not a table and is
-refused before packing (``extend`` moves a negative entry's weight to the
-other side, for the tables it takes unvalidated).  Every lane of P or Q
-adds at most A + 1 terms of magnitude at most M = max(|x|, den), so with w
-the first power of two from 8 that holds (A + 1) * M and one guard bit, no
-lane carries into the next.  The checks are then compares of packed ints:
-the table is valid when the E lanes of P and Q agree, and well defined
-when the W lanes agree.  A failed W check unpacks V, to name the first
-failing step.  Nothing else is compared: a table that passes both reads
-back as x, with V(full) = den and 0 <= V <= den (see ``check_table_rows``).
+Every entry is 0, 1 or -1, so E and W split into positive and negative
+parts, and each table is packed into two Python ints, one lane of w bits
+per row of E and of W: P = sum(x_a * plus_a), with plus_a atom a's column
+of the positive parts, and Q = sum(x_a * minus_a) + den * rhs, with
+minus_a its column of the negative parts and rhs the right-hand sides.  A
+row with a negative entry is not a table and is refused before packing
+(``pack`` moves a negative entry's weight to the other side, for the
+tables ``extend`` takes unvalidated).  Every lane of P or Q adds at most
+A + 1 terms of magnitude at most M = max(|x|, den), so with w the first
+power of two from 8 that holds (A + 1) * M and one guard bit, no lane
+carries into the next.  The checks are then compares of packed ints: the
+table is valid when the E lanes of P and Q agree, and well defined when
+the W lanes agree.  V is not packed: it is summed only for the tables
+whose values are read (``state_from_pr``, the sample points' tables) and
+to name the first failing step.  Nothing else is compared: a table that
+passes both reads back as x, with V(full) = den and 0 <= V <= den (see
+``check_table_rows``).
 
 ``check_table_rows``, the state section of a verification, walks its vertex
 and mixture rows through the kernel one at a time for validity and step
@@ -255,8 +258,8 @@ class LogicState:
 class _Lanes:
     """The kernel's maps packed at one lane width ``w`` (see the module docstring).
 
-    Lanes run, from bit 0 up: the E rows and the W rows, compared between P
-    and Q, then the element values V.
+    Lanes run, from bit 0 up: the E rows, then the W rows; both are compared
+    between P and Q, and nothing else is packed.
     """
 
     w: int
@@ -265,7 +268,6 @@ class _Lanes:
     rhs: int
     e_mask: int  # the E lanes
     w_mask: int  # the W lanes
-    shift: int  # V starts here: P >> shift is V
 
 
 class _StateTables:
@@ -281,23 +283,26 @@ class _StateTables:
         self.full = logic.index_of(logic.full_mask)
         self.steps = _steps(logic)
         pos = {e: k for k, e in enumerate(self.atom_elems)}
-        # into each nonzero element, the step whose atom comes first; a lower
-        # element has fewer points than its upper, so popcount order fills it first
-        first: dict[int, tuple[int, int]] = {}
+        # into each nonzero element u, the step p -> u whose atom a comes first, as
+        # (u, a's position, p); a lower element has fewer points than its upper, so
+        # popcount order reaches it first
+        first: dict[int, tuple[int, int, int]] = {}
         for low, atom, up in self.steps:
-            if pos[atom] < first.get(up, (natoms,))[0]:
-                first[up] = pos[atom], low
+            if pos[atom] < first.get(up, (up, natoms))[1]:
+                first[up] = up, pos[atom], low
+        self.first = sorted(first.values(), key=lambda step: logic.elements[step[0]].bit_count())
         # each element's canonical partition, as a mask of atom positions
         self.canon = canon = [0] * n
-        for up in sorted(first, key=lambda u: logic.elements[u].bit_count()):
-            k, low = first[up]
+        for up, k, low in self.first:
             canon[up] = canon[low] | 1 << k
-        # the distinct rows C(p) + e_a - C(p | a) of W, as (positive, negative) atom masks
+        # the distinct nonzero rows C(p) + e_a - C(p | a) of W, as (positive, negative)
+        # atom masks; the first steps give the zero row, which compares nothing
         self.constraints = list(
             dict.fromkeys(
                 (plus & ~canon[up], canon[up] & ~plus)
                 for low, atom, up in self.steps
                 for plus in [canon[low] | 1 << pos[atom]]
+                if plus != canon[up]
             )
         )
         # each atom's column of P's maps and of Q's, and the right-hand sides, one
@@ -315,10 +320,8 @@ class _StateTables:
             for side, mask in ((plus, up), (minus, down)):
                 for k in _bit_indices(mask):
                     side[k][lane] = 1
-        # C's columns: the canonical partitions as rows of binary digits, sliced by atom
-        digits = "".join(format(c, f"0{natoms}b") for c in canon).encode().translate(_BYTES)
-        self._plus = [bytes(col) + digits[natoms - 1 - k :: natoms] for k, col in enumerate(plus)]
-        self._minus, self._rhs = list(map(bytes, minus)), bytes(rhs)
+        self._plus, self._minus = list(map(bytes, plus)), list(map(bytes, minus))
+        self._rhs = bytes(rhs)
         self._nequal, self._nconstraints = neq, nw
         self._lanes: dict[int, _Lanes] = {}
 
@@ -339,7 +342,6 @@ class _StateTables:
                 spread(self._rhs),
                 (1 << self._nequal * w) - 1,
                 ((1 << self._nconstraints * w) - 1) << self._nequal * w,
-                len(self._rhs) * w,
             )
         return self._lanes[w]
 
@@ -362,16 +364,21 @@ class _StateTables:
         (Non-negativity is checked before packing.)"""
         return not (p ^ q) & lanes.e_mask
 
+    def values(self, x: Sequence[int]) -> list[int]:
+        """Element values C x, summed along the first steps: V(u) = V(p) + x(a)."""
+        values = [0] * len(self.canon)
+        for up, k, low in self.first:
+            values[up] = values[low] + x[k]
+        return values
+
     def extend(self, x: Sequence[int], den: int, packed=None) -> list[int]:
-        """Element values C x, once the values add on every atom step.
+        """Element values C x, once the W lanes show that they add on every atom step.
 
         If a is in a partition P of u, P - {a} partitions u - a, which the closed table
         holds, so by induction every P sums to V(u); C(p) + e_a itself partitions p | a.
         """
         lanes, p, q = packed or self.pack(x, den)
-        values = self.unpack(p >> lanes.shift, lanes)
-        if q >> lanes.shift:
-            values = [a - b for a, b in zip(values, self.unpack(q >> lanes.shift, lanes))]
+        values = self.values(x)
         if (p ^ q) & lanes.w_mask:
             low, atom, u = _first_step_failure(values, self.steps)
             part = tuple(_bit_indices(self.canon[low] | self.canon[atom]))
@@ -393,14 +400,6 @@ class _StateTables:
             self.extend(x, den, packed)
         return True
 
-    def unpack(self, packed: int, lanes: _Lanes) -> list[int]:
-        """The lanes of packed element values, one int per element."""
-        raw = packed.to_bytes(len(self.canon) * lanes.w // 8, "little")
-        step = lanes.w // 8
-        if sys.byteorder == "little" and step in _LANE_FORMATS:
-            return memoryview(raw).cast(_LANE_FORMATS[step]).tolist()
-        return [int.from_bytes(raw[k : k + step], "little") for k in range(0, len(raw), step)]
-
     def read_back(self, values: Sequence[int], den: int) -> list[int]:
         """The atom values of element values, checked to form a table again."""
         if values[self.full] != den:
@@ -421,12 +420,6 @@ class _StateTables:
         return PRState.from_function(
             self.spec, lambda a, b, alpha, beta: by_atom[AtomId(a, alpha, b, beta)]
         )
-
-
-# memoryview formats of the lane widths the host's own unsigned types hold
-_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-# the binary digits "0" and "1" as bytes 0 and 1
-_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _lane_width(bound: int) -> int:
@@ -722,13 +715,14 @@ def _point_rows(logic: Logic) -> Iterator[_ValueRow]:
     Point w's deterministic table is 1 on the atoms holding w and 0
     elsewhere, over denominator 1.  On a table whose atom steps certify it,
     its state is w's indicator, so it certifies w.  A table that the
-    kernel refuses gives no row.
+    kernel refuses gives no row; an accepted one is not packed again, and
+    its values are summed along the first steps.
     """
     tables = _state_tables(logic)
     points = [[a >> w & 1 for a in logic.atom_bits] for w in range(logic.ground_size)]
     for x, valid in zip(points, _walk_tables(logic, ((x, 1) for x in points))):
         if valid:
-            yield _ValueRow(tables.extend(x, 1), 1)
+            yield _ValueRow(tables.values(x), 1)
 
 
 def _order_from_points(logic: Logic) -> OrderDeterminingReport:
@@ -781,7 +775,7 @@ def check_table_rows(
     the rest), where every comparable p <= q is a chain of steps, q - p
     being a disjoint union of atoms.  V is C x as the oracle tests
     ``test_step_certificate_matches_every_partition`` and
-    ``test_canonical_partitions_are_the_lex_least`` pin for ``extend``.
+    ``test_canonical_partitions_are_the_lex_least`` pin for ``values``.
     ``verify_state_monotonicity`` is the scan, for arbitrary states.
 
     Nor are round trips, and ``round_trip_failures`` is 0: a valid row

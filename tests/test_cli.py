@@ -281,6 +281,88 @@ def test_states_check_exits_0_or_2_on_any_state_file(tmp_path, spec_and_blocks):
         assert code == 2 and err.getvalue().startswith("error:")
 
 
+def half(first, second):
+    """``first`` or ``second``, each half the time (``|`` would weight every branch
+    of a nested ``one_of`` alike)."""
+    return st.booleans().flatmap(lambda pick: first if pick else second)
+
+
+# scenario files, half of them well formed (two to three distinct labels per input);
+# the rest have labels that are missing, repeated, not strings or nested, unknown or
+# missing keys, JSON that is no object, or text that is no JSON
+odd_label = st.integers(-2, 2) | st.none() | st.booleans() | st.lists(st.sampled_from("ab"), max_size=2)
+good_input = st.lists(st.sampled_from(["0", "1", "2"]), min_size=2, max_size=3, unique=True)
+good_side = st.lists(good_input, min_size=1, max_size=2)
+any_input = good_input | st.lists(st.sampled_from(["", "a", "b"]) | odd_label, max_size=4) | odd_label
+side = good_side | st.lists(any_input, max_size=3) | odd_label
+malformed = (
+    st.fixed_dictionaries({"left": side, "right": side})
+    | st.fixed_dictionaries({}, optional={"left": side, "right": side, "labels": side, "": st.integers()})
+    | st.lists(st.integers(0, 2), max_size=2)
+    | odd_label
+    | st.text(max_size=3)
+)
+scenario_texts = half(
+    st.fixed_dictionaries({"left": good_side, "right": good_side}).map(json.dumps),
+    malformed.map(json.dumps) | st.sampled_from(["", "{", "[[", "nan", '{"left": 1e400}']),
+)
+# flag values, half of them in range: otherwise zero, negative, huge or not an integer
+int_flag = half(
+    st.integers(1, 300),
+    st.integers(-2, 0) | st.integers(-(10**30), 10**30) | st.sampled_from(["", "x", "1.5", "0x10", "1_0"]),
+)
+CAP_FLAGS = ["--cap-gamma", "--cap-closure", "--cap-vars"]
+COMMAND_FLAGS = {
+    ("build",): CAP_FLAGS,
+    ("export", "json"): CAP_FLAGS,
+    ("states", "vertices"): CAP_FLAGS,
+    ("verify",): [*CAP_FLAGS, "--samples", "--seed"],
+}
+
+
+def drawn_flags(command):
+    names = COMMAND_FLAGS[command] + ["--bogus"]
+    pairs = st.lists(st.tuples(st.sampled_from(names), int_flag), max_size=2)
+    return pairs.map(lambda drawn: [f"{name}={value}" for name, value in drawn])
+
+
+@settings(
+    max_examples=150,
+    deadline=timedelta(seconds=2),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    scenario_texts,
+    st.sampled_from(sorted(COMMAND_FLAGS)).flatmap(lambda c: st.tuples(st.just(c), drawn_flags(c))),
+)
+def test_commands_exit_with_a_contract_code_on_any_scenario_file(tmp_path, text, command_and_flags):
+    command, flags = command_and_flags
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    argv = [*command, str(path), *flags]
+    spec = None
+    with contextlib.suppress(ValueError, bl.ScenarioError):
+        spec = bl.BoxWorldSpec.from_dict(json.loads(text))
+    if spec and command in (("build",), ("verify",)) and sum(spec.left_sizes) * sum(spec.right_sizes) > 16:
+        # these run whole only up to chsh's 16 variables; past them a small closure
+        # cap ends them (uncapped, [3,3]x[3] spends 4.5 s in is_lattice's pair scan)
+        argv.append("--cap-closure=100")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing a flag
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    # a file that is no scenario is invalid input, whatever the flags
+    assert spec is not None or code == 2
+    if code == 0:
+        assert out.getvalue()
+    else:
+        prefix = {2: ("error:", "usage:"), 3: ("cap exceeded:",), 4: ("claim failed:",)}[code]
+        assert err.getvalue().startswith(prefix) or code == 4 and out.getvalue()
+
+
 def test_export_json(chsh_file, capsys, tmp_path):
     out_dir = tmp_path / "exp"
     code, _, _ = run(capsys, ["export", "json", chsh_file, "--out", str(out_dir)])

@@ -246,6 +246,32 @@ def test_drawn_sweep_steps_match_the_adjacency_oracle(left, right):
     sweep_against_the_adjacency_oracle(left, right)
 
 
+def permuted(hrep, order):
+    """``hrep`` with its variables, and so the sweep's sign constraints, in ``order``."""
+    return polytope.HRep(
+        hrep.spec,
+        tuple(hrep.variables[i] for i in order),
+        tuple(tuple(row[i] for i in order) for row in hrep.eq_coeffs),
+        hrep.eq_rhs,
+    )
+
+
+@pytest.mark.parametrize(
+    "left, right", [([2, 2], [2, 2]), ([2, 3], [3]), ([2, 2, 2], [2, 2, 2]), ([3, 3], [3, 3])], ids=str
+)
+def test_vertex_set_does_not_depend_on_the_constraint_order(left, right):
+    # the sweep takes the sign constraints in variable order; reversed and under two
+    # seeded shuffles, it gives the same vertices once they are mapped back
+    hrep = bl.ns_polytope(BoxWorldSpec.from_sizes(left, right))
+    natural = bl.enumerate_vertices(hrep)
+    reverse = list(range(hrep.nvars))[::-1]
+    for order in (reverse, *(random.Random(seed).sample(reverse, len(reverse)) for seed in (1, 2))):
+        swept = bl.enumerate_vertices(permuted(hrep, order))
+        inverse = [order.index(i) for i in range(hrep.nvars)]
+        assert swept.scale == natural.scale
+        assert sorted(tuple(row[j] for j in inverse) for row in swept.scaled) == list(natural.scaled)
+
+
 def test_single_miss_witnesses_strike_before_the_holder_test():
     # one step by hand; D = act(p) - act(ray) for p = ray 0
     sets = [

@@ -499,15 +499,13 @@ def test_lane_width_reads_a_large_negative_entry(chsh_logic):
     tables = bl.states._state_tables(chsh_logic)
     small = [1] * tables.natoms
     assert tables.pack(small, 1)[0].w == 8
-    # the only entry past 2**62 is negative: the walk refuses the row, and its
-    # packed values are still exact, lane by lane, as P - Q
+    # the only entry past 2**62 is negative: the walk refuses the row, its lanes
+    # are wide enough, and its element values are still exact
     big = [-(2**62) - 1, *small[1:]]
     assert tables.round_trip(big, 1) is False
-    lanes, p, q = tables.pack(big, 1)
-    assert lanes.w == 128
-    values = [a - b for a, b in zip(tables.unpack(p >> lanes.shift, lanes), tables.unpack(q >> lanes.shift, lanes))]
+    assert tables.pack(big, 1)[0].w == 128
     decompositions = [chsh_logic.decomposition(i) for i in range(len(chsh_logic.elements))]
-    assert values == [sum(big[pos] for pos in parts) for parts in decompositions]
+    assert tables.values(big) == [sum(big[pos] for pos in parts) for parts in decompositions]
 
 
 # -- the walk: one table at a time ------------------------------------------------------
@@ -536,6 +534,28 @@ def test_one_row_chunks_give_the_same_report(request, monkeypatch, scenario):
     vertices = {"chsh": 24, "three_input": 1408}[scenario]
     assert len(seen) == vertices + 100 + logic.ground_size
     assert all(math.gcd(den, *row) == 1 for row, den in seen)
+
+
+@pytest.mark.parametrize("scenario, points", [("chsh", 16), ("three_input", 64)])
+def test_element_values_are_summed_only_where_they_are_read(request, monkeypatch, scenario, points):
+    # the vertex and mixture rows are checked on their packed lanes alone; only the
+    # sample points' tables, whose values the order check reads, are summed
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    _, vertex_set = request.getfixturevalue(f"{scenario}_polytope")
+    summed, values = [], bl.states._StateTables.values
+
+    def counted(self, x):
+        summed.append(list(x))
+        return values(self, x)
+
+    monkeypatch.setattr(bl.states._StateTables, "values", counted)
+    rows, scale = vertex_set.scaled, vertex_set.scale
+    mixtures = bl.states._mixture_rows(rows, scale, 100, 0)
+    assert all(bl.states._walk_tables(logic, [*((row, scale) for row in rows), *mixtures]))
+    assert summed == []
+    assert bl.verify_scenario(logic.spec, logic=logic)["all_passed"]
+    assert len(summed) == logic.ground_size == points
+    assert summed == [[a >> w & 1 for a in logic.atom_bits] for w in range(points)]
 
 
 @pytest.mark.parametrize("k", [0, 5, 23])
@@ -719,8 +739,26 @@ def test_constraint_rows_are_the_distinct_step_rows(request, scenario):
         expect.add(
             (sum(1 << p for p, v in enumerate(row) if v > 0), sum(1 << p for p, v in enumerate(row) if v < 0))
         )
+    # the first steps give the zero row, which compares nothing
+    assert (0, 0) in expect
     rows = bl.states._StateTables(logic).constraints
-    assert len(rows) == len(expect) and set(rows) == expect
+    assert len(rows) == len(expect) - 1 and set(rows) == expect - {(0, 0)}
+
+
+@pytest.mark.parametrize(
+    "scenario, compared", [("single_pair", 1), ("chsh", 34), ("three_input", 129), ("two_by_three", 103)]
+)
+def test_packed_rows_hold_only_the_compared_lanes(request, scenario, compared):
+    # the E lanes and the nonzero W lanes, and no element values above them
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    hrep = bl.ns_polytope(logic.spec, var_cap=len(logic.atom_bits))
+    tables = bl.states._StateTables(logic)
+    assert len(hrep.eq_coeffs) + len(tables.constraints) == compared
+    point = [a & 1 for a in logic.atom_bits]
+    lanes, p, q = tables.pack(point, 1)
+    assert lanes.e_mask | lanes.w_mask == (1 << compared * lanes.w) - 1
+    assert max(p, q, *lanes.plus, *lanes.minus, lanes.rhs) >> compared * lanes.w == 0
+    assert tables.valid(lanes, p, q) and p == q
 
 
 def assert_accepted_rows_read_back(logic, rows, dens, prs):
@@ -1128,19 +1166,19 @@ def test_an_uncertified_point_walks_the_point_tables_again(chsh_logic, monkeypat
     # three binary inputs no difference is a single point, and nothing is left.)
     logic = chsh_logic
     table, column = [a >> 1 & 1 for a in logic.atom_bits], logic.containing(1 << 1)
-    support, extend = bl.states._ValueRow.support, bl.states._StateTables.extend
+    support, values = bl.states._ValueRow.support, bl.states._StateTables.values
 
     def uncertified(self):
         found = support(self)
         return None if found == column else found
 
-    def extend_damaged(self, x, den, packed=None):
-        values = extend(self, x, den, packed)
-        return [0] * len(values) if list(x) == table else values
+    def values_damaged(self, x):
+        found = values(self, x)
+        return [0] * len(found) if list(x) == table else found
 
     monkeypatch.setattr(bl.states._ValueRow, "support", uncertified)
     if damaged:
-        monkeypatch.setattr(bl.states._StateTables, "extend", extend_damaged)
+        monkeypatch.setattr(bl.states._StateTables, "values", values_damaged)
     seen = walked_tables(monkeypatch)
     report = bl.states._order_from_points(logic)
     assert len(seen) == 2 * logic.ground_size
