@@ -7,7 +7,7 @@ from typing import Optional
 
 from . import __version__
 from .compat import _compatible_bits, single_box_logic, verify_localized_propositions
-from .errors import CapExceeded, TheoremViolation
+from .errors import CapExceeded, ScenarioError, TheoremViolation
 from .logic import (
     Logic,
     _boolean_given_lattice,
@@ -20,7 +20,7 @@ from .logic import (
 )
 from .polytope import HRep, VertexSet, enumerate_vertices, ns_polytope
 from .scenario import AtomId, BoxWorldSpec, Side, default_caps
-from .states import PRState, check_table_rows
+from .states import PRState, _order_from_points, check_table_rows
 
 # CPython's builtin SHA-256, as `random` takes SHA-512: hashlib would map OpenSSL's
 # libcrypto (about 3 MiB resident) to hash a few dozen bytes
@@ -86,13 +86,18 @@ def verify_scenario(
     order classification above atoms, one-box structure, the state
     correspondence round-trips on polytope vertices plus seeded random
     mixtures, and order determination by the states of the sample points'
-    own deterministic tables.  Failures land in
-    the report; nothing raises for a refuted claim.  A table that the state
-    kernel refuses skips the state section, with the refusal as reason.
+    own deterministic tables.  Failures land in the report; nothing raises
+    for a refuted claim.  A table that the state kernel refuses skips the
+    state section, with the refusal as reason.  A sweep past the variable
+    cap skips only the round trips: order determination needs no vertex,
+    and is reported and counted all the same.  A ``logic`` of another
+    scenario is refused with ``ScenarioError``.
     """
     caps = {**default_caps(), **(caps or {})}
     if logic is None:
         logic = close_logic(spec, closure_cap=caps["closure"], gamma_cap=caps["gamma"])
+    elif logic.spec != spec:
+        raise ScenarioError("a logic of another scenario")
 
     report = _header(spec, caps, seed, logic)
     axioms = verify_axioms(logic)
@@ -118,8 +123,10 @@ def verify_scenario(
     report["single_box"] = boxes
 
     state_section: dict = {"skipped": False}
+    certified = False
     try:
         logic._step_table()  # the state kernel takes only a table its atom steps certify
+        certified = True
         hrep = ns_polytope(spec, var_cap=caps["polytope_variables"])
     except (CapExceeded, TheoremViolation) as exc:
         state_section = {"skipped": True, "reason": str(exc)}
@@ -136,6 +143,8 @@ def verify_scenario(
         state_section.update(
             check_table_rows(logic, vertex_set.scaled, vertex_set.scale, sample_count, seed)
         )
+    if certified:  # after the sweep, which then runs without the kernel alive
+        state_section["order_determining"] = _order_from_points(logic).to_dict()
     report["state_correspondence"] = state_section
 
     sections_ok = [
@@ -145,11 +154,10 @@ def verify_scenario(
         report["localized_propositions"]["all_passed"],
         all(b["ok"] for b in boxes.values()),
     ]
-    if not state_section.get("skipped"):
-        sections_ok += [
-            state_section["all_tables_valid"],
-            state_section["order_determining"]["ok"],
-        ]
+    if not state_section["skipped"]:
+        sections_ok.append(state_section["all_tables_valid"])
+    if certified:
+        sections_ok.append(state_section["order_determining"]["ok"])
     report["all_passed"] = all(sections_ok)
     return report
 

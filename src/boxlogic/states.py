@@ -34,19 +34,20 @@ power of two from 8 that holds (A + 1) * M and one guard bit, no lane
 carries into the next.  The checks are then compares of packed ints: the
 table is valid when the E lanes of P and Q agree, and well defined when
 the W lanes agree.  V is not packed: it is summed only for the tables
-whose values are read (``state_from_pr``, the sample points' tables) and
-to name the first failing step.  Nothing else is compared: a table that
-passes both reads back as x, with V(full) = den and 0 <= V <= den (see
-``check_table_rows``).
+whose values are read (``state_from_pr``) and to name the first failing
+step.  Nothing else is compared: a table that passes both reads back as
+x, with V(full) = den and 0 <= V <= den (see ``check_table_rows``).
 
 ``check_table_rows``, the state section of a verification, walks its vertex
 and mixture rows through the kernel one at a time for validity and step
-additivity alone, and holds no value rows.  Order determination reads the
-sample points' own tables instead (``_order_from_points``): each point's
-deterministic table extends to that point's indicator, which witnesses
-every pair p not below q with the point in p - q.  Monotonicity needs no
-pass: validation gives x >= 0 and the well-definedness check gives
-V(p | a) = V(p) + x(a) on every step (see ``check_table_rows``).
+additivity alone.  Order determination needs no vertex: it takes the
+kernel's verdict on each sample point's deterministic table
+(``_order_from_points``).  An accepted table's state is that point's
+indicator, since every canonical partition of u is a partition of u, and
+the indicator witnesses every pair p not below q with the point in
+p - q.  Monotonicity needs no pass: validation gives x >= 0 and the
+well-definedness check gives V(p | a) = V(p) + x(a) on every step (see
+``check_table_rows``).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import StateError, TheoremViolation, WellDefinednessViolation
 from .logic import ConcreteLogic, Logic, _bit_indices, _flag_mask
@@ -73,7 +74,7 @@ _MAX_SUPPORT = 6
 _MAX_WEIGHT = 9
 # unwitnessed pairs that the order check reports
 _FAILURE_LIMIT = 20
-# candidate pairs that the order check tests per walk over its value rows
+# candidate pairs that the order check tests per walk over its states
 _PAIR_BLOCK = 1 << 18
 # a decimal exponent, refused past json's digit limit (4300) before Fraction expands it
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
@@ -621,49 +622,24 @@ class OrderDeterminingReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class _ValueRow:
-    """A state's element values over its denominator."""
-
-    numerators: Sequence[int]
-    den: int
-
-    def support(self) -> Optional[int]:
-        """The mask of the nonzero elements when every value is 0 or den, else None."""
-        if not {0, self.den}.issuperset(self.numerators):
-            return None
-        return _flag_mask(map(bool, self.numerators))
-
-
 def _below(values: Sequence[int]) -> dict[int, int]:
     """For each value v of a row, the mask of the elements whose value is below v."""
     return {v: _flag_mask(map(v.__gt__, values)) for v in set(values)}
 
 
 def _order_report(
-    logic: ConcreteLogic, rows: Callable[[], Iterable[_ValueRow]]
+    logic: ConcreteLogic, states: Sequence[LogicState], used: int, certified: int
 ) -> OrderDeterminingReport:
-    """For every pair p not below q, a value row with value(p) > value(q).
+    """For every pair p not below q, a state with value(p) > value(q).
 
-    ``rows`` walks the value rows.  The first walk certifies sample points:
-    a point is certified by a row that equals its indicator on every
-    element (1 on the elements containing it, 0 elsewhere), and that row
-    witnesses every pair whose difference p minus q holds the point.  Only
-    the pairs whose difference lies inside the uncertified points are left;
-    they are tested ``_PAIR_BLOCK`` at a time, each block against one more
-    walk, until the first ``_FAILURE_LIMIT`` unwitnessed pairs are found,
-    in ascending (p, q) order.
+    ``certified`` is the mask of the sample points whose indicators are
+    among the ``used`` states; each witnesses every pair whose difference
+    p minus q holds the point.  Only the pairs whose difference lies inside
+    the uncertified points are left; they are tested ``_PAIR_BLOCK`` at a
+    time, each block against one walk over ``states``, until the first
+    ``_FAILURE_LIMIT`` unwitnessed pairs are found, in ascending (p, q)
+    order.
     """
-    points_by_column: dict[int, int] = {}
-    for x in range(logic.ground_size):
-        col = logic.containing(1 << x)
-        points_by_column[col] = points_by_column.get(col, 0) | 1 << x
-    states = certified = 0
-    for row in rows():
-        states += 1
-        if (support := row.support()) is not None:
-            # the support is the element-membership mask of the points it certifies
-            certified |= points_by_column.get(support, 0)
     candidates = (
         (p, q)
         for p, bits in enumerate(logic.elements)
@@ -678,15 +654,15 @@ def _order_report(
         and (block := list(islice(candidates, _PAIR_BLOCK)))
     ):
         witnessed = dict.fromkeys((p for p, _ in block), 0)
-        for row in rows():
-            values = row.numerators
+        for state in states:
+            values = state.numerators
             below = _below(values)
             for p in witnessed:
                 witnessed[p] |= below[values[p]]
         missed = [(p, q) for p, q in block if not witnessed[p] >> q & 1]
         failures += [{"p": p, "q": q} for p, q in missed[: _FAILURE_LIMIT - len(failures)]]
     n, comparable = len(logic.elements), logic.comparable_count()
-    return OrderDeterminingReport(not failures, states, comparable, n * n - comparable, failures)
+    return OrderDeterminingReport(not failures, used, comparable, n * n - comparable, failures)
 
 
 def _same_logic(logic: ConcreteLogic, states: Sequence[LogicState]) -> None:
@@ -700,35 +676,41 @@ def check_order_determining(
     """For every pair p not below q, find a state with value(p) > value(q).
 
     Pairs with p below q are skipped.  A state that is a sample point's
-    indicator witnesses at once every pair whose difference holds the
+    indicator (two-valued, with the point's column of elements as its
+    support) witnesses at once every pair whose difference holds the
     point; the other pairs are scanned against all states (see
     ``_order_report``).
     """
     _same_logic(logic, states)
-    rows = [_ValueRow(s.numerators, s.denominator) for s in states]
-    return _order_report(logic, lambda: rows)
-
-
-def _point_rows(logic: Logic) -> Iterator[_ValueRow]:
-    """The value rows of the sample points' own tables, through the kernel walk.
-
-    Point w's deterministic table is 1 on the atoms holding w and 0
-    elsewhere, over denominator 1.  On a table whose atom steps certify it,
-    its state is w's indicator, so it certifies w.  A table that the
-    kernel refuses gives no row; an accepted one is not packed again, and
-    its values are summed along the first steps.
-    """
-    tables = _state_tables(logic)
-    points = [[a >> w & 1 for a in logic.atom_bits] for w in range(logic.ground_size)]
-    for x, valid in zip(points, _walk_tables(logic, ((x, 1) for x in points))):
-        if valid:
-            yield _ValueRow(tables.values(x), 1)
+    points_by_column: dict[int, int] = {}
+    for x in range(logic.ground_size):
+        col = logic.containing(1 << x)
+        points_by_column[col] = points_by_column.get(col, 0) | 1 << x
+    certified = 0
+    for s in states:
+        if s.is_two_valued():
+            certified |= points_by_column.get(_flag_mask(map(bool, s.numerators)), 0)
+    return _order_report(logic, states, len(states), certified)
 
 
 def _order_from_points(logic: Logic) -> OrderDeterminingReport:
-    """``check_order_determining`` on the states of the sample points' own tables;
-    where a point stays uncertified, its pairs are scanned on those tables again."""
-    return _order_report(logic, lambda: _point_rows(logic))
+    """``check_order_determining`` on the states of the sample points' own tables.
+
+    Point w's deterministic table is 1 on the atoms holding w and 0
+    elsewhere, over denominator 1.  Once the kernel accepts it, its state
+    V = C x is w's indicator: V(u) sums [w in a] over the atoms a of u's
+    canonical partition, which partitions u, so V(u) = [w in u].  The
+    kernel's verdict alone certifies w, and no value is summed.  A refused
+    table has no state, and no other point's indicator separates a pair
+    whose difference holds only refused points: those pairs are the
+    failures.
+    """
+    tables = _state_tables(logic)
+    certified = _flag_mask(
+        tables.round_trip([a >> w & 1 for a in logic.atom_bits], 1)
+        for w in range(logic.ground_size)
+    )
+    return _order_report(logic, (), certified.bit_count(), certified)
 
 
 def verify_state_monotonicity(
@@ -764,8 +746,9 @@ def check_table_rows(
     ``rows`` are the polytope's vertices as integers over ``scale``; the
     ``sample_count`` seeded mixtures of ``sample_pr_states`` follow them
     through one kernel walk, which checks validity and step additivity and
-    holds no value rows.  Order determination reads the sample points' own
-    tables, not these rows (``_order_from_points``).
+    sums no element values.  Order determination needs none of these rows;
+    ``verify_scenario`` reports it from the sample points' own tables
+    (``_order_from_points``).
 
     Monotonicity is counted, not scanned: ``checked`` is the valid vertex
     rows times the comparable pairs.  Each such row passed two checks:
@@ -794,5 +777,4 @@ def check_table_rows(
         "all_tables_valid": not invalid,
         "round_trip_failures": 0,
         "monotonicity": {"ok": True, "checked": valid * logic.comparable_count()},
-        "order_determining": _order_from_points(logic).to_dict(),
     }

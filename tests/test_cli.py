@@ -528,6 +528,23 @@ def test_verify_invalid_own_table_is_a_failed_claim(chsh_file, capsys, invalid_f
     assert report["all_passed"] is False
 
 
+def test_verify_past_the_variable_cap_still_determines_the_order(chsh_file, capsys, monkeypatch):
+    code, out, _ = run(capsys, ["verify", chsh_file, "--cap-vars", "4"])
+    report = json.loads(out)
+    section = report["state_correspondence"]
+    assert (code, report["all_passed"], section["skipped"]) == (0, True, True)
+    assert (section["order_determining"]["ok"], section["order_determining"]["states_used"]) == (True, 16)
+    # with sample point 1's table refused by the kernel, the capped run is a failed claim
+    table = [a >> 1 & 1 for a in bl.close_logic(CHSH).atom_bits]
+    round_trip = bl.states._StateTables.round_trip
+    monkeypatch.setattr(
+        bl.states._StateTables, "round_trip", lambda self, x, den: list(x) != table and round_trip(self, x, den)
+    )
+    code, out, _ = run(capsys, ["verify", chsh_file, "--cap-vars", "4"])
+    report = json.loads(out)
+    assert (code, report["all_passed"], report["state_correspondence"]["order_determining"]["ok"]) == (4, False, False)
+
+
 @pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out-dir"])
 def test_export_json_variable_cap_exits_before_printing(chsh_file, capsys, tmp_path, with_out):
     out_dir = tmp_path / "artifacts"

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import boxlogic as bl
 from boxlogic import AtomId, LocalizedSpec, Side
 from boxlogic.io import canonical_json, pr_state_from_dict
+from boxlogic.logic import _flag_mask
 
 import oracles
 from conftest import CHSH, NS_SHAPES, THREE_INPUT, TWO_BY_THREE
@@ -538,8 +539,9 @@ def test_one_row_chunks_give_the_same_report(request, monkeypatch, scenario):
 
 @pytest.mark.parametrize("scenario, points", [("chsh", 16), ("three_input", 64)])
 def test_element_values_are_summed_only_where_they_are_read(request, monkeypatch, scenario, points):
-    # the vertex and mixture rows are checked on their packed lanes alone; only the
-    # sample points' tables, whose values the order check reads, are summed
+    # the vertex and mixture rows are checked on their packed lanes alone, and the
+    # order check takes the kernel's verdict on the sample points' tables: nothing
+    # in verify reads an element value
     logic = request.getfixturevalue(f"{scenario}_logic")
     _, vertex_set = request.getfixturevalue(f"{scenario}_polytope")
     summed, values = [], bl.states._StateTables.values
@@ -553,9 +555,12 @@ def test_element_values_are_summed_only_where_they_are_read(request, monkeypatch
     mixtures = bl.states._mixture_rows(rows, scale, 100, 0)
     assert all(bl.states._walk_tables(logic, [*((row, scale) for row in rows), *mixtures]))
     assert summed == []
+    seen = walked_tables(monkeypatch)
     assert bl.verify_scenario(logic.spec, logic=logic)["all_passed"]
-    assert len(summed) == logic.ground_size == points
-    assert summed == [[a >> w & 1 for a in logic.atom_bits] for w in range(points)]
+    assert summed == []
+    # the sample points' tables come last, each walked once and none summed
+    assert logic.ground_size == points
+    assert seen[-points:] == [([a >> w & 1 for a in logic.atom_bits], 1) for w in range(points)]
 
 
 @pytest.mark.parametrize("k", [0, 5, 23])
@@ -1077,7 +1082,7 @@ def test_certificate_fallback_matches_scan(three_input_logic, three_input_vertex
         chosen = [s for s, cls in zip(states, classes) if cls == "deterministic"][::2]
         chosen.append(_altered_deterministic(logic, states, classes))
         columns = {logic.containing(1 << x) for x in range(logic.ground_size)}
-        supports = [bl.states._ValueRow(s.numerators, s.denominator).support() for s in chosen]
+        supports = [_flag_mask(map(bool, s.numerators)) for s in chosen if s.is_two_valued()]
         assert sum(support in columns for support in supports) == 32
     report = bl.check_order_determining(logic, chosen)
     assert report.failures == unwitnessed(logic, [s.numerators for s in chosen])
@@ -1130,8 +1135,8 @@ def test_candidate_pairs_in_small_blocks_give_the_same_failures(
 
 def assert_order_on_point_states(logic, report):
     """``report`` is the order check on the states of ``deterministic_points``'
-    tables, and the sample points' own tables, walked by the kernel, extend to
-    the points' indicators."""
+    tables, and those tables extend to the sample points' indicators, in point
+    order."""
     spec = logic.spec
     states = [
         bl.state_from_pr(logic, bl.PRState.deterministic(spec, xs, ys))
@@ -1139,7 +1144,8 @@ def assert_order_on_point_states(logic, report):
     ]
     assert report == bl.check_order_determining(logic, states).to_dict()
     assert report["states_used"] == logic.ground_size
-    supports = [row.support() for row in bl.states._point_rows(logic)]
+    assert all(s.is_two_valued() for s in states)
+    supports = [_flag_mask(map(bool, s.numerators)) for s in states]
     assert supports == [logic.containing(1 << x) for x in range(logic.ground_size)]
 
 
@@ -1153,39 +1159,59 @@ def test_verify_determines_the_order_on_the_point_states(request, scenario):
 @settings(max_examples=12, deadline=None)
 @given(small_shapes)
 def test_order_on_the_point_states_of_drawn_shapes(shape):
-    logic, _, vertex_set = drawn_shape(*shape)
-    section = bl.states.check_table_rows(logic, vertex_set.scaled, vertex_set.scale, 0, 0)
-    assert_order_on_point_states(logic, section["order_determining"])
+    logic, _, _ = drawn_shape(*shape)
+    assert_order_on_point_states(logic, bl.states._order_from_points(logic).to_dict())
 
 
-@pytest.mark.parametrize("damaged", [False, True], ids=["intact", "damaged"])
-def test_an_uncertified_point_walks_the_point_tables_again(chsh_logic, monkeypatch, damaged):
-    # point 1's row certifies nothing, so the pairs whose difference is that point
-    # alone go to the fallback, which walks the point tables once more; intact, that
-    # row witnesses them there, and damaged to all zeros it witnesses nothing.  (On
-    # three binary inputs no difference is a single point, and nothing is left.)
+def refuse_point_table(monkeypatch, logic, w):
+    """Make the kernel refuse sample point w's table; return the tables it walks."""
+    table, round_trip = [a >> w & 1 for a in logic.atom_bits], bl.states._StateTables.round_trip
+    seen = []
+
+    def refusing(self, x, den):
+        seen.append((list(x), den))
+        return list(x) != table and round_trip(self, x, den)
+
+    monkeypatch.setattr(bl.states._StateTables, "round_trip", refusing)
+    return seen
+
+
+def test_a_refused_point_table_leaves_its_pairs_unwitnessed(chsh_logic, monkeypatch):
+    # a refused table has no state, so the pairs whose difference is point 1 alone
+    # are failures: the other points' indicators cannot separate them, and each
+    # point table is walked once
     logic = chsh_logic
-    table, column = [a >> 1 & 1 for a in logic.atom_bits], logic.containing(1 << 1)
-    support, values = bl.states._ValueRow.support, bl.states._StateTables.values
-
-    def uncertified(self):
-        found = support(self)
-        return None if found == column else found
-
-    def values_damaged(self, x):
-        found = values(self, x)
-        return [0] * len(found) if list(x) == table else found
-
-    monkeypatch.setattr(bl.states._ValueRow, "support", uncertified)
-    if damaged:
-        monkeypatch.setattr(bl.states._StateTables, "values", values_damaged)
-    seen = walked_tables(monkeypatch)
+    seen = refuse_point_table(monkeypatch, logic, 1)
     report = bl.states._order_from_points(logic)
-    assert len(seen) == 2 * logic.ground_size
-    rows = [row.numerators for row in bl.states._point_rows(logic)]
-    assert report.failures == unwitnessed(logic, rows)
-    assert report.ok is not damaged
-    assert report.states_used == logic.ground_size
+    points = [[a >> w & 1 for a in logic.atom_bits] for w in range(logic.ground_size)]
+    assert seen == [(x, 1) for x in points]
+    others = [bl.point_state(logic, w).numerators for w in range(logic.ground_size) if w != 1]
+    assert report.failures == unwitnessed(logic, others)
+    assert report.failures
+    assert (report.ok, report.states_used) == (False, 15)
+
+
+def test_a_capped_sweep_keeps_order_determination(chsh_logic):
+    # order determination needs no vertex: past the variable cap only the round
+    # trips are skipped
+    full = bl.verify_scenario(CHSH, logic=chsh_logic)
+    capped = bl.verify_scenario(CHSH, caps={"polytope_variables": 4})
+    assert capped["state_correspondence"] == {
+        "skipped": True,
+        "reason": "16 table variables, above the cap of 4",
+        "order_determining": full["state_correspondence"]["order_determining"],
+    }
+    assert "polytope" not in capped
+    assert capped["all_passed"] is True
+
+
+def test_a_refused_point_table_fails_a_capped_run(chsh_logic, monkeypatch):
+    refuse_point_table(monkeypatch, chsh_logic, 1)
+    report = bl.verify_scenario(CHSH, caps={"polytope_variables": 4}, logic=chsh_logic)
+    section = report["state_correspondence"]
+    assert section["skipped"] is True
+    assert (section["order_determining"]["ok"], section["order_determining"]["states_used"]) == (False, 15)
+    assert report["all_passed"] is False
 
 
 # -- states and tables of another scenario ------------------------------------------
@@ -1217,6 +1243,14 @@ def test_state_from_pr_refuses_a_table_of_another_scenario(logic_pairs):
     for logic, other in logic_pairs:
         with pytest.raises(bl.StateError, match="^a table of another scenario$"):
             bl.state_from_pr(logic, bl.PRState.uniform(other.spec))
+
+
+def test_verify_refuses_a_logic_of_another_scenario(logic_pairs):
+    # the vertex rows of one scenario would be read against the other's atom
+    # columns, and every table would be refuted
+    for logic, other in logic_pairs:
+        with pytest.raises(bl.ScenarioError, match="^a logic of another scenario$"):
+            bl.verify_scenario(logic.spec, sample_count=0, logic=other)
 
 
 def test_convex_combination_refuses_tables_of_different_scenarios(logic_pairs):
