@@ -1191,6 +1191,26 @@ def test_a_refused_point_table_leaves_its_pairs_unwitnessed(chsh_logic, monkeypa
     assert (report.ok, report.states_used) == (False, 15)
 
 
+@pytest.mark.parametrize("damaged", [False, True], ids=["intact", "damaged"])
+def test_an_uncertified_point_walks_the_point_tables_again(chsh_logic, monkeypatch, damaged):
+    # the CHSH sweep walks the 16 deterministic vertices, whose tables are the point
+    # tables; the order check takes no verdict from it but walks the point tables
+    # again, last and once each.  Damaged, the kernel refuses point 1's table in both
+    # walks, so point 1 is uncertified and the pairs it alone separates are failures.
+    logic = chsh_logic
+    points = [[a >> w & 1 for a in logic.atom_bits] for w in range(logic.ground_size)]
+    seen = refuse_point_table(monkeypatch, logic, 1) if damaged else walked_tables(monkeypatch)
+    report = bl.verify_scenario(CHSH, sample_count=0, logic=logic)
+    order = report["state_correspondence"]["order_determining"]
+    assert seen[-len(points):] == [(x, 1) for x in points]
+    assert all(seen.count((x, 1)) == 2 for x in points)
+    certified = [w for w in range(logic.ground_size) if not (damaged and w == 1)]
+    others = [bl.point_state(logic, w).numerators for w in certified]
+    assert order["failures"] == unwitnessed(logic, others)
+    assert (order["ok"], order["states_used"]) == (not damaged, len(certified))
+    assert report["all_passed"] is not damaged
+
+
 def test_a_capped_sweep_keeps_order_determination(chsh_logic):
     # order determination needs no vertex: past the variable cap only the round
     # trips are skipped
