@@ -64,15 +64,6 @@ def _flag_mask(flags: Iterable[int]) -> int:
     return int(bytes(flags)[::-1].translate(_DIGITS) or b"0", 2)
 
 
-def _union_below(family: Iterable[int], s: int) -> int:
-    """Union of the members of ``family`` contained in ``s``."""
-    u = 0
-    for e in family:
-        if e & s == e:
-            u |= e
-    return u
-
-
 def _minimal_nonzero(family: Iterable[int]) -> list[int]:
     """Nonzero members with no other nonzero member inside, by (popcount, value)."""
     minimal: list[int] = []
@@ -121,7 +112,7 @@ class ConcreteLogic:
         )
         self._decomp_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._columns: Optional[list[int]] = None
-        self._atomistic: Optional[bool] = None
+        self._masks: Optional[tuple[bool, list[int], dict[int, int]]] = None  # see _mask_table
         self._comparable_total: Optional[int] = None
         self._steps: tuple[array, array] | str | None = None  # see _step_table
 
@@ -160,9 +151,27 @@ class ConcreteLogic:
 
     def atomistic(self) -> bool:
         """Every nonzero element is the union of the atoms below it."""
-        if self._atomistic is None:
-            self._atomistic = all(_union_below(self.atom_bits, e) == e for e in self.elements)
-        return self._atomistic
+        return self._mask_table()[0]
+
+    def _mask_table(self) -> tuple[bool, list[int], dict[int, int]]:
+        """(atomistic, each element's mask of the generators inside it, the element
+        of each mask).  The generators are the atoms when every element is the
+        union of the atoms inside it, and all elements otherwise; either way each
+        element is the union of its generators, so no two share a mask."""
+        if self._masks is None:
+            masks, atomistic = [], True
+            bits = [(1 << k, a) for k, a in enumerate(self.atom_bits)]
+            for e in self.elements:
+                m = u = 0
+                for bit, a in bits:
+                    if a & e == a:
+                        m, u = m | bit, u | a
+                masks.append(m)
+                atomistic = atomistic and u == e
+            if not atomistic:
+                masks = [_flag_mask(g & e == g for g in self.elements) for e in self.elements]
+            self._masks = atomistic, masks, {m: i for i, m in enumerate(masks)}
+        return self._masks
 
     def all_decompositions(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Every partition of element ``i`` into pairwise-disjoint atoms.
@@ -210,24 +219,28 @@ class ConcreteLogic:
     def meet(self, i: int, j: int) -> Optional[int]:
         """Greatest lower bound in the table, or None when there is none.
 
-        The union U of all table elements contained in the set
-        intersection is itself contained in it, so the meet exists iff U
-        is in the table, and then equals U.  When the table is atomistic
-        U is the union of the atoms below the intersection.
+        Read off the mask table (``_mask_table``).  The union U of the
+        generators inside the set intersection lies inside it, and every
+        lower bound, a union of generators, lies inside U, while each of
+        those generators is itself a lower bound.  So the meet exists iff U
+        is in the table, and then equals U.  Every element is the union of
+        the generators inside it, so U is the element whose mask is
+        M(i) & M(j), when there is one.
         """
         self._check(i)
         self._check(j)
-        s = self.elements[i] & self.elements[j]
-        return self.index.get(self._downset_union(s))
+        _, masks, by_mask = self._mask_table()
+        return by_mask.get(masks[i] & masks[j])
 
     def join(self, i: int, j: int) -> Optional[int]:
         """Least upper bound in the table, or None when there is none."""
         self._check(i)
         self._check(j)
-        s = self.elements[i] | self.elements[j]
         if self.complemented:
-            m = self.index.get(self._downset_union(s ^ self.full_mask))
+            # complementation reverses the order: the complement of the meet of the complements
+            m = self.meet(self.complement_map[i], self.complement_map[j])
             return None if m is None else self.complement_map[m]
+        s = self.elements[i] | self.elements[j]
         # tables that are not complement-closed: the least upper bound is the
         # intersection of the upper bounds, when that is an element
         meet_of_upper, found = self.full_mask, False
@@ -235,9 +248,6 @@ class ConcreteLogic:
             if e & s == s:
                 meet_of_upper, found = meet_of_upper & e, True
         return self.index.get(meet_of_upper) if found else None
-
-    def _downset_union(self, s: int) -> int:
-        return _union_below(self.atom_bits if self.atomistic() else self.elements, s)
 
     # -- order queries and pair enumeration -----------------------------------
 
@@ -756,7 +766,8 @@ def is_lattice(logic: ConcreteLogic) -> Optional[bool]:
     If none is found the full pair scan runs only for tables up to
     ``_LATTICE_SCAN_LIMIT`` elements; beyond that the answer is None (undecided).
     Because complementation is an order anti-isomorphism, scanning meets
-    over all pairs also decides all joins.
+    over all pairs also decides all joins; the scan tests each row's meet
+    masks against the mask table at once (see ``ConcreteLogic.meet``).
     """
     candidates = sorted(
         {i for i in logic.atom_indices}
@@ -771,11 +782,8 @@ def is_lattice(logic: ConcreteLogic) -> Optional[bool]:
         return None
     if not logic.complemented:
         return None
-    for i in range(n):
-        for j in range(i, n):
-            if logic.meet(i, j) is None:
-                return False
-    return True
+    _, masks, by_mask = logic._mask_table()
+    return all(by_mask.keys() >= {m & other for other in masks[i:]} for i, m in enumerate(masks))
 
 
 def is_boolean(logic: ConcreteLogic) -> Optional[bool]:

@@ -168,19 +168,19 @@ def _compatibility_survey(logic: Logic, seed: int) -> dict:
 
     n = len(logic.elements)
     if n <= _SURVEY_EXHAUSTIVE_LIMIT:
-        mode = "exhaustive"
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        mode, count = "exhaustive", n * (n + 1) // 2
+        pairs = ((i, j) for i in range(n) for j in range(i, n))
     else:
-        mode = "seeded_sample"
+        mode, count = "seeded_sample", _SURVEY_SAMPLE_PAIRS
         rng = random.Random(seed)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(_SURVEY_SAMPLE_PAIRS)]
     elements, index = logic.elements, logic.index
     compatible = sum(_compatible_bits(index, elements[i], elements[j]) for i, j in pairs)
     return {
         "mode": mode,
-        "pairs": len(pairs),
+        "pairs": count,
         "compatible": compatible,
-        "incompatible": len(pairs) - compatible,
+        "incompatible": count - compatible,
     }
 
 

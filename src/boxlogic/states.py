@@ -28,18 +28,19 @@ of the positive parts, and Q = sum(x_a * minus_a) + den * rhs, with
 minus_a its column of the negative parts and rhs the right-hand sides.  A
 row with a negative entry is not a table and is refused before packing
 (``pack`` moves a negative entry's weight to the other side, for the
-tables ``extend`` takes unvalidated).  Every lane of P or Q adds at most
+tables ``check`` takes unvalidated).  Every lane of P or Q adds at most
 A + 1 terms of magnitude at most M = max(|x|, den), so with w the first
 power of two from 8 that holds (A + 1) * M and one guard bit, no lane
-carries into the next.  The checks are then compares of packed ints: the
-table is valid when the E lanes of P and Q agree, and well defined when
-the W lanes agree.  V is not packed: it is summed only for the tables
-whose values are read (``state_from_pr``) and to name the first failing
-step.  Nothing else is compared: a table that passes both reads back as
-x, with V(full) = den and 0 <= V <= den (see ``check_table_rows``).
+carries into the next.  ``check``, the kernel's one entry, packs a table
+once and compares packed ints: the table is valid when the E lanes of P
+and Q agree, and well defined when the W lanes agree.  V is not packed:
+it is summed only for the tables whose values are read (``state_from_pr``)
+and to name the first failing step.  Nothing else is compared: a table
+that passes both reads back as x, with V(full) = den and 0 <= V <= den
+(see ``check_table_rows``).
 
-``check_table_rows``, the state section of a verification, walks its vertex
-and mixture rows through the kernel one at a time for validity and step
+``check_table_rows``, the state section of a verification, passes its vertex
+and mixture rows through ``check`` one at a time for validity and step
 additivity alone.  Order determination needs no vertex: it takes the
 kernel's verdict on each sample point's deterministic table
 (``_order_from_points``).  An accepted table's state is that point's
@@ -60,7 +61,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import StateError, TheoremViolation, WellDefinednessViolation
 from .logic import ConcreteLogic, Logic, _bit_indices, _flag_mask
@@ -360,11 +361,6 @@ class _StateTables:
                 q -= v * up
         return lanes, p, q
 
-    def valid(self, lanes: _Lanes, p: int, q: int) -> bool:
-        """Whether a packed table is normalized and non-signalling: its E lanes agree.
-        (Non-negativity is checked before packing.)"""
-        return not (p ^ q) & lanes.e_mask
-
     def values(self, x: Sequence[int]) -> list[int]:
         """Element values C x, summed along the first steps: V(u) = V(p) + x(a)."""
         values = [0] * len(self.canon)
@@ -372,43 +368,38 @@ class _StateTables:
             values[up] = values[low] + x[k]
         return values
 
-    def extend(self, x: Sequence[int], den: int, packed=None) -> list[int]:
-        """Element values C x, once the W lanes show that they add on every atom step.
+    def check(self, x: Sequence[int], den: int, validate: bool = True) -> bool:
+        """Whether the table ``x / den`` passes validation (with ``validate``: no
+        entry negative, and its E lanes agree); its values are then checked to add
+        on every atom step, and the first failing step raises.
 
         If a is in a partition P of u, P - {a} partitions u - a, which the closed table
         holds, so by induction every P sums to V(u); C(p) + e_a itself partitions p | a.
         """
-        lanes, p, q = packed or self.pack(x, den)
-        values = self.values(x)
+        if validate and min(x) < 0:
+            return False
+        lanes, p, q = self.pack(x, den)
+        if validate and (p ^ q) & lanes.e_mask:
+            return False
         if (p ^ q) & lanes.w_mask:
+            values = self.values(x)
             low, atom, u = _first_step_failure(values, self.steps)
             part = tuple(_bit_indices(self.canon[low] | self.canon[atom]))
             raise WellDefinednessViolation(
                 f"element {u}: partition {part} sums to {Fraction(values[low] + values[atom], den)} "
                 f"but the canonical partition gives {Fraction(values[u], den)}"
             )
-        return values
-
-    def round_trip(self, x: Sequence[int], den: int) -> bool:
-        """Whether one table passes validation; its values are then checked to add
-        on every atom step, and a failing step raises, as in ``extend``."""
-        if min(x) < 0:
-            return False
-        lanes, p, q = packed = self.pack(x, den)
-        if not self.valid(lanes, p, q):
-            return False
-        if (p ^ q) & lanes.w_mask:
-            self.extend(x, den, packed)
         return True
 
     def read_back(self, values: Sequence[int], den: int) -> list[int]:
-        """The atom values of element values, checked to form a table again."""
+        """The atom values of element values, checked to form a table again.  On an
+        additive state V = C x, so W x = 0 and ``check`` tests validity alone."""
         if values[self.full] != den:
             raise StateError("state does not assign 1 to the full set")
         if min(values) < 0 or max(values) > den:
             raise StateError("state values leave [0, 1]")
         atoms = [values[e] for e in self.atom_elems]
-        if not self.valid(*self.pack(atoms, den)):
+        if not self.check(atoms, den):
             violations = validate_pr_state(self.table(atoms, den))
             raise TheoremViolation(
                 "an additive state produced an invalid table: "
@@ -445,10 +436,10 @@ def state_from_pr(logic: Logic, pr: PRState, *, validate: bool = True) -> LogicS
     """Extend a table to the whole logic through atomic partitions.
 
     The value of an element is the sum of its atoms' table entries; the
-    values are checked to add on every atom step, which makes every atomic
-    partition of every element give the same sum, and a mismatch raises
-    WellDefinednessViolation.  Passing that check makes the state
-    additive, as in ``verify_state_additivity``.
+    kernel's ``check`` tests that they add on every atom step, which makes
+    every atomic partition of every element give the same sum, and a
+    mismatch raises WellDefinednessViolation.  Passing that check makes
+    the state additive, as in ``verify_state_additivity``.
     """
     if pr.spec != logic.spec:
         raise StateError("a table of another scenario")
@@ -456,14 +447,13 @@ def state_from_pr(logic: Logic, pr: PRState, *, validate: bool = True) -> LogicS
     fracs = [pr.atom_value(aid) for aid in logic.atom_ids]
     den = lcm(*(f.denominator for f in fracs))
     x, den = _reduced([f.numerator * (den // f.denominator) for f in fracs], den)
-    packed = tables.pack(x, den)
-    if validate and (min(x) < 0 or not tables.valid(*packed)):
+    if not tables.check(x, den, validate):
         violations = validate_pr_state(pr)
         raise StateError(
             f"table violates {len(violations)} constraint(s); "
             f"first: {violations[0].to_dict()}"
         )
-    return LogicState(logic, den, tables.extend(x, den, packed), additive_checked=True)
+    return LogicState(logic, den, tables.values(x), additive_checked=True)
 
 
 def pr_from_state(state: LogicState) -> PRState:
@@ -479,19 +469,6 @@ def pr_from_state(state: LogicState) -> PRState:
         )
     tables = _state_tables(logic)
     return tables.table(tables.read_back(state.numerators, state.denominator), state.denominator)
-
-
-def _walk_tables(logic: Logic, rows: Iterable[tuple[Sequence[int], int]]) -> Iterator[bool]:
-    """Validate (row, den) tables one at a time, in lowest terms, and check their
-    values on every atom step.
-
-    Yields per table whether it is one; a failing step raises, as in
-    ``extend``.  A table is built only when the one before it has been
-    consumed.
-    """
-    tables = _state_tables(logic)
-    for row, den in rows:
-        yield tables.round_trip(*_reduced(row, den))
 
 
 def _steps(logic: ConcreteLogic) -> list[tuple[int, int, int]]:
@@ -707,7 +684,7 @@ def _order_from_points(logic: Logic) -> OrderDeterminingReport:
     """
     tables = _state_tables(logic)
     certified = _flag_mask(
-        tables.round_trip([a >> w & 1 for a in logic.atom_bits], 1)
+        tables.check([a >> w & 1 for a in logic.atom_bits], 1)
         for w in range(logic.ground_size)
     )
     return _order_report(logic, (), certified.bit_count(), certified)
@@ -745,8 +722,8 @@ def check_table_rows(
 
     ``rows`` are the polytope's vertices as integers over ``scale``; the
     ``sample_count`` seeded mixtures of ``sample_pr_states`` follow them
-    through one kernel walk, which checks validity and step additivity and
-    sums no element values.  Order determination needs none of these rows;
+    through the kernel's ``check``, one table at a time in lowest terms,
+    which tests validity and step additivity and sums no element values.  Order determination needs none of these rows;
     ``verify_scenario`` reports it from the sample points' own tables
     (``_order_from_points``).
 
@@ -768,9 +745,10 @@ def check_table_rows(
     den - V(u') <= den (``test_accepted_rows_read_back_their_tables``).
     ``read_back`` checks these, for arbitrary states.
     """
-    valid = sum(_walk_tables(logic, ((row, scale) for row in rows)))
-    mixtures = _walk_tables(logic, _mixture_rows(rows, scale, sample_count, seed))
-    invalid = len(rows) - valid + sum(not ok for ok in mixtures)
+    tables = _state_tables(logic)
+    valid = sum(tables.check(*_reduced(row, scale)) for row in rows)
+    mixtures = _mixture_rows(rows, scale, sample_count, seed)
+    invalid = len(rows) - valid + sum(not tables.check(*_reduced(row, den)) for row, den in mixtures)
     return {
         "vertex_states": len(rows),
         "random_states": sample_count,

@@ -343,10 +343,6 @@ def test_commands_exit_with_a_contract_code_on_any_scenario_file(tmp_path, text,
     spec = None
     with contextlib.suppress(ValueError, bl.ScenarioError):
         spec = bl.BoxWorldSpec.from_dict(json.loads(text))
-    if spec and command in (("build",), ("verify",)) and sum(spec.left_sizes) * sum(spec.right_sizes) > 16:
-        # these run whole only up to chsh's 16 variables; past them a small closure
-        # cap ends them (uncapped, [3,3]x[3] spends 4.5 s in is_lattice's pair scan)
-        argv.append("--cap-closure=100")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -536,9 +532,11 @@ def test_verify_past_the_variable_cap_still_determines_the_order(chsh_file, caps
     assert (section["order_determining"]["ok"], section["order_determining"]["states_used"]) == (True, 16)
     # with sample point 1's table refused by the kernel, the capped run is a failed claim
     table = [a >> 1 & 1 for a in bl.close_logic(CHSH).atom_bits]
-    round_trip = bl.states._StateTables.round_trip
+    check = bl.states._StateTables.check
     monkeypatch.setattr(
-        bl.states._StateTables, "round_trip", lambda self, x, den: list(x) != table and round_trip(self, x, den)
+        bl.states._StateTables,
+        "check",
+        lambda self, x, den, validate=True: list(x) != table and check(self, x, den, validate),
     )
     code, out, _ = run(capsys, ["verify", chsh_file, "--cap-vars", "4"])
     report = json.loads(out)

@@ -207,6 +207,44 @@ def test_even_set_meet_join_match_brute_force_everywhere():
             assert logic.join(i, j) == oracles.brute_join(logic, i, j)
 
 
+MASK_TABLES = {
+    "2x2": lambda: bl.close_logic(SINGLE_PAIR),
+    "chsh": lambda: bl.close_logic(CHSH),
+    "2x22": lambda: bl.close_logic(bl.BoxWorldSpec.from_sizes([2], [2, 2])),
+    "3x2": lambda: bl.close_logic(bl.BoxWorldSpec.from_sizes([3], [2])),
+    "even2": lambda: bl.even_set_logic(2),
+    "even3": lambda: bl.even_set_logic(3),
+    # complemented, with {0, 1} not the union of the atoms {0} and {2, 3} inside it
+    "not_atomistic": lambda: bl.ConcreteLogic(4, [0, 0b1111, 0b0001, 0b1110, 0b0011, 0b1100]),
+    # atomistic, with no complement of {0}
+    "not_complemented": lambda: bl.ConcreteLogic(3, [0, 0b001, 0b010, 0b100, 0b011, 0b111]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASK_TABLES))
+def test_mask_table_meets_and_joins_match_brute_force(name):
+    logic = MASK_TABLES[name]()
+    n = len(logic.elements)
+    assert logic.atomistic() is (name != "not_atomistic")
+    assert logic.complemented is (name != "not_complemented")
+    bounded = True
+    for i in range(n):
+        for j in range(n):
+            meet, join = oracles.brute_meet(logic, i, j), oracles.brute_join(logic, i, j)
+            assert (logic.meet(i, j), logic.join(i, j)) == (meet, join)
+            bounded = bounded and None not in (meet, join)
+    if logic.complemented:
+        assert bl.is_lattice(logic) is bounded
+
+
+@pytest.mark.parametrize("left, right", [([3, 3], [3]), ([3], [3, 3])])
+def test_lattice_shapes_with_one_input_on_a_side(left, right):
+    # every pair of the 2,744 elements has a meet: the full scan runs to the end
+    logic = bl.close_logic(bl.BoxWorldSpec.from_sizes(left, right))
+    assert len(logic.elements) == 2744
+    assert bl.is_lattice(logic) is True
+
+
 # -- decompositions ----------------------------------------------------------
 
 

@@ -388,21 +388,22 @@ def invalid_tables(spec):
 
 
 def extended(logic, row, den):
-    """The table ``row / den`` in lowest terms and its element values, read through
-    the kernel's ``extend``."""
+    """The table ``row / den`` in lowest terms and its element values C x."""
     x, den = bl.states._reduced(row, den)
-    return x, den, bl.states._state_tables(logic).extend(x, den)
+    return x, den, bl.states._state_tables(logic).values(x)
 
 
-def walk_rows(logic, rows, dens):
-    """The tables ``rows[k] / dens[k]`` through the kernel walk: the valid flag
-    of each row and the state of each valid one (None for the others)."""
+def walk_rows(logic, rows, dens, validate=True):
+    """The tables ``rows[k] / dens[k]`` through the kernel's ``check``, in lowest
+    terms: the verdict on each row and the state of each accepted one (None for
+    the others)."""
+    tables = bl.states._state_tables(logic)
     valid, states = [], []
-    for row, den, ok in zip(rows, dens, bl.states._walk_tables(logic, zip(rows, dens))):
+    for row, den in zip(rows, dens):
+        x, den = bl.states._reduced(row, den)
+        ok = tables.check(x, den, validate)
         valid.append(ok)
-        if ok:
-            _, den, values = extended(logic, row, den)
-        states.append(bl.LogicState(logic, den, values, additive_checked=True) if ok else None)
+        states.append(bl.LogicState(logic, den, tables.values(x), additive_checked=True) if ok else None)
     return valid, states
 
 
@@ -493,7 +494,7 @@ def test_first_well_definedness_failure_matches_oracle(chsh_logic, chsh_vertex_s
     text = well_definedness_text(oracles.first_step_failure(chsh_logic, prs[-2]))
     with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
         for pr in prs:
-            tables.extend(*table_row(chsh_logic, pr))
+            tables.check(*table_row(chsh_logic, pr), validate=False)
 
 
 def test_lane_width_reads_a_large_negative_entry(chsh_logic):
@@ -503,7 +504,7 @@ def test_lane_width_reads_a_large_negative_entry(chsh_logic):
     # the only entry past 2**62 is negative: the walk refuses the row, its lanes
     # are wide enough, and its element values are still exact
     big = [-(2**62) - 1, *small[1:]]
-    assert tables.round_trip(big, 1) is False
+    assert tables.check(big, 1) is False
     assert tables.pack(big, 1)[0].w == 128
     decompositions = [chsh_logic.decomposition(i) for i in range(len(chsh_logic.elements))]
     assert tables.values(big) == [sum(big[pos] for pos in parts) for parts in decompositions]
@@ -513,15 +514,41 @@ def test_lane_width_reads_a_large_negative_entry(chsh_logic):
 
 
 def walked_tables(monkeypatch):
-    """Record every table the kernel walk takes, as (row, den), and return the list."""
-    seen, round_trip = [], bl.states._StateTables.round_trip
+    """Record every table the kernel's ``check`` takes, as (row, den), and return the list."""
+    seen, check = [], bl.states._StateTables.check
 
-    def counted(self, x, den):
+    def counted(self, x, den, validate=True):
         seen.append((list(x), den))
-        return round_trip(self, x, den)
+        return check(self, x, den, validate)
 
-    monkeypatch.setattr(bl.states._StateTables, "round_trip", counted)
+    monkeypatch.setattr(bl.states._StateTables, "check", counted)
     return seen
+
+
+@pytest.mark.parametrize("scenario", ["chsh", "three_input"])
+def test_every_entry_checks_each_table_once(request, monkeypatch, scenario):
+    # the state section, the order check and both directions of the correspondence
+    # reach the kernel through check alone, once per table, in lowest terms
+    logic = request.getfixturevalue(f"{scenario}_logic")
+    hrep, vertex_set = request.getfixturevalue(f"{scenario}_polytope")
+    rows, scale = vertex_set.scaled, vertex_set.scale
+    seen = walked_tables(monkeypatch)
+    assert bl.states.check_table_rows(logic, rows, scale, 7, 3)["all_tables_valid"]
+    mixtures = bl.states._mixture_rows(rows, scale, 7, 3)
+    walked = [*((row, scale) for row in rows), *mixtures]
+    assert seen == [bl.states._reduced(row, den) for row, den in walked]
+    seen.clear()
+    assert bl.states._order_from_points(logic).ok
+    assert seen == [([a >> w & 1 for a in logic.atom_bits], 1) for w in range(logic.ground_size)]
+    prs = [*bl.vertex_pr_states(hrep, vertex_set)[:3], bl.PRState.uniform(logic.spec)]
+    seen.clear()
+    states = [bl.state_from_pr(logic, pr) for pr in prs]
+    assert seen == [bl.states._reduced(*table_row(logic, pr)) for pr in prs]
+    seen.clear()
+    unchecked = [bl.LogicState(logic, s.denominator, s.numerators) for s in states]
+    assert [bl.pr_from_state(s) for s in unchecked] == prs
+    atoms = [[s.numerators[e] for e in logic.atom_indices] for s in states]
+    assert seen == [(x, s.denominator) for x, s in zip(atoms, states)]
 
 
 @pytest.mark.parametrize("scenario", ["chsh", "three_input"])
@@ -553,7 +580,9 @@ def test_element_values_are_summed_only_where_they_are_read(request, monkeypatch
     monkeypatch.setattr(bl.states._StateTables, "values", counted)
     rows, scale = vertex_set.scaled, vertex_set.scale
     mixtures = bl.states._mixture_rows(rows, scale, 100, 0)
-    assert all(bl.states._walk_tables(logic, [*((row, scale) for row in rows), *mixtures]))
+    tables = bl.states._state_tables(logic)
+    walked = [*((row, scale) for row in rows), *mixtures]
+    assert all(tables.check(*bl.states._reduced(row, den)) for row, den in walked)
     assert summed == []
     seen = walked_tables(monkeypatch)
     assert bl.verify_scenario(logic.spec, logic=logic)["all_passed"]
@@ -624,11 +653,10 @@ def test_a_well_definedness_break_keeps_its_message_past_the_first_chunk(
     prs = [*chsh_vertex_states * 3, signalling_table(CHSH), signalling_past_int64(CHSH)]
     rows, dens = zip(*(table_row(chsh_logic, pr) for pr in prs))
     text = well_definedness_text(oracles.first_step_failure(chsh_logic, prs[-2]))
-    # every row passes validation, so the signalling tables reach the step check
-    monkeypatch.setattr(bl.states._StateTables, "valid", lambda self, lanes, p, q: True)
+    # unvalidated, the signalling tables reach the step check
     seen = walked_tables(monkeypatch)
     with pytest.raises(bl.WellDefinednessViolation, match=f"^{re.escape(text)}$"):
-        walk_rows(chsh_logic, rows, dens)
+        walk_rows(chsh_logic, rows, dens, validate=False)
     # the rows before it were walked, and the walk stopped at it
     assert len(seen) == len(prs) - 1
 
@@ -763,7 +791,7 @@ def test_packed_rows_hold_only_the_compared_lanes(request, scenario, compared):
     lanes, p, q = tables.pack(point, 1)
     assert lanes.e_mask | lanes.w_mask == (1 << compared * lanes.w) - 1
     assert max(p, q, *lanes.plus, *lanes.minus, lanes.rhs) >> compared * lanes.w == 0
-    assert tables.valid(lanes, p, q) and p == q
+    assert tables.check(point, 1) and p == q
 
 
 def assert_accepted_rows_read_back(logic, rows, dens, prs):
@@ -777,7 +805,7 @@ def assert_accepted_rows_read_back(logic, rows, dens, prs):
     parts = [logic.atom_bits[k] for k in range(natoms) if tables.canon[tables.full] >> k & 1]
     assert sum(parts) == functools.reduce(operator.or_, parts) == logic.full_mask
     partitions = oracles.element_partitions(logic)
-    walk = bl.states._walk_tables(logic, zip(rows, dens))
+    walk = (tables.check(*bl.states._reduced(x, den)) for x, den in zip(rows, dens))
     accepted = 0
     for ok, x, den, pr in zip(walk, rows, dens, prs, strict=True):
         expect = oracles.state_oracle(logic, partitions, pr)
@@ -1165,14 +1193,14 @@ def test_order_on_the_point_states_of_drawn_shapes(shape):
 
 def refuse_point_table(monkeypatch, logic, w):
     """Make the kernel refuse sample point w's table; return the tables it walks."""
-    table, round_trip = [a >> w & 1 for a in logic.atom_bits], bl.states._StateTables.round_trip
+    table, check = [a >> w & 1 for a in logic.atom_bits], bl.states._StateTables.check
     seen = []
 
-    def refusing(self, x, den):
+    def refusing(self, x, den, validate=True):
         seen.append((list(x), den))
-        return list(x) != table and round_trip(self, x, den)
+        return list(x) != table and check(self, x, den, validate)
 
-    monkeypatch.setattr(bl.states._StateTables, "round_trip", refusing)
+    monkeypatch.setattr(bl.states._StateTables, "check", refusing)
     return seen
 
 
